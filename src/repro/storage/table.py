@@ -146,6 +146,20 @@ class Table:
         """All rows without I/O accounting (inspection/testing only)."""
         return list(self._rows)
 
+    def copy(self) -> "Table":
+        """A plain table holding this table's rows, without re-validating them.
+
+        Same schema, blocking factor and :class:`IOCounter`.  The row
+        list is the copy's own, so later inserts or deletes on either
+        table leave the other unchanged; the row dicts are shared, as
+        :meth:`rows` already shares them.  Reads through :meth:`rows`
+        (a fault-injecting proxy still fails the read), charges no I/O
+        and carries no ``write_hook``.
+        """
+        out = Table(self.schema, self.blocking_factor, io=self.io)
+        out._rows = self.rows()
+        return out
+
     def clear(self) -> None:
         self._rows.clear()
         if self._colcache is not None:

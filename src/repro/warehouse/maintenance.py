@@ -146,7 +146,10 @@ class ViewMaintainer:
 
         The refresh is atomic: deltas are applied to a shadow copy that
         replaces the stored table only once fully built, so concurrent
-        readers never observe a partially-refreshed view.
+        readers never observe a partially-refreshed view.  The shadow
+        shares the stored rows, which were validated when written
+        (:meth:`Table.copy`); only the delta's rows are validated, so
+        the cost scales with the delta rather than the view.
         """
         if view.name not in self.database:
             raise WarehouseError(
@@ -201,10 +204,7 @@ class ViewMaintainer:
                     for row in new_rows
                     if tuple(row[n] for n in names) not in existing
                 ]
-            shadow = Table(
-                stored.schema, stored.blocking_factor, io=self.database.io
-            )
-            shadow.insert_many(stored.rows(), count_io=False)
+            shadow = stored.copy()
             added = shadow.insert_many(new_rows, count_io=True)
             self.database.register(view.name, shadow)
             span.set(rows_added=added)

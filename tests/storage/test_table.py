@@ -96,3 +96,63 @@ class TestQualified:
         table = table_from_rows(schema, [{"Pid": 1, "name": "a"}])
         table.clear()
         assert table.cardinality == 0 and table.num_blocks == 0
+
+
+class TestCopy:
+    def test_same_rows_schema_and_blocking_factor(self, schema):
+        table = table_from_rows(
+            schema, [{"Pid": i, "name": str(i)} for i in range(5)], blocking_factor=2
+        )
+        copy = table.copy()
+        assert type(copy) is Table
+        assert copy.rows() == table.rows()
+        assert copy.schema is table.schema
+        assert copy.blocking_factor == 2 and copy.num_blocks == table.num_blocks
+
+    def test_row_lists_are_independent(self, schema):
+        table = table_from_rows(
+            schema, [{"Pid": 1, "name": "a"}, {"Pid": 2, "name": "b"}]
+        )
+        copy = table.copy()
+        copy.insert({"Pid": 3, "name": "c"})
+        table.delete_many([{"Pid": 1, "name": "a"}])
+        assert [r["Pid"] for r in table.rows()] == [2]
+        assert [r["Pid"] for r in copy.rows()] == [1, 2, 3]
+        table.insert_many([{"Pid": 4, "name": "d"}])
+        copy.delete_many([{"Pid": 2, "name": "b"}])
+        assert [r["Pid"] for r in table.rows()] == [2, 4]
+        assert [r["Pid"] for r in copy.rows()] == [1, 3]
+
+    def test_no_io_and_shared_counter(self, schema):
+        table = table_from_rows(schema, [{"Pid": i, "name": str(i)} for i in range(30)])
+        copy = table.copy()
+        assert copy.io is table.io
+        assert (table.io.reads, table.io.writes) == (0, 0)
+
+    def test_write_hook_not_carried(self, schema):
+        calls = []
+        table = table_from_rows(schema, [{"Pid": 1, "name": "a"}])
+        table.write_hook = lambda op, rows: calls.append(op)
+        copy = table.copy()
+        assert copy.write_hook is None
+        copy.insert({"Pid": 2, "name": "b"})
+        assert calls == []
+
+    def test_read_fault_on_faulty_source_raises(self, schema):
+        from repro.errors import StorageFault
+        from repro.executor.engine import Database
+        from repro.resilience import SCOPE_ALL, FaultInjector, FaultPolicy
+
+        database = Database()
+        stored = database.register(
+            "Product", table_from_rows(schema, [{"Pid": 1, "name": "a"}])
+        )
+        database.fault_injector = FaultInjector(
+            FaultPolicy(storage_failure_rate=1.0, scope=SCOPE_ALL, seed=0)
+        )
+        with pytest.raises(StorageFault):
+            database.table("Product").copy()
+        database.fault_injector = None
+        assert database.table_names == ("Product",)
+        assert database.table("Product") is stored
+        assert stored.rows() == [{"Pid": 1, "name": "a"}]

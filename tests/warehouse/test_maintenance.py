@@ -210,3 +210,60 @@ class TestIncremental:
         assert stored == {
             (dict(r)["Customer.city"], dict(r)["n"]) for r in recomputed
         }
+
+
+class TestIncrementalCost:
+    def test_stored_rows_are_not_revalidated(self, database, view, monkeypatch):
+        """Regression: the shadow copy shares the view's validated rows,
+        so a one-row delta normalizes a handful of rows, not the view."""
+        import datetime
+
+        from repro.storage.table import Table
+
+        maintainer = ViewMaintainer(database)
+        maintainer.materialize(view)
+        cardinality = database.table("mv_oc").cardinality
+        assert cardinality >= 200
+        delta = [
+            {"Pid": 1, "Cid": 3, "quantity": 2, "date": datetime.date(1996, 4, 4)}
+        ]
+        database.table("Order").insert_many(delta)
+
+        calls = []
+        normalize = Table._normalize
+
+        def counting(self, row):
+            calls.append(1)
+            return normalize(self, row)
+
+        monkeypatch.setattr(Table, "_normalize", counting)
+        report = maintainer.incremental_refresh(view, "Order", delta)
+
+        assert report.policy == INCREMENTAL
+        assert report.rows_after == cardinality + 1
+        assert len(calls) < cardinality
+
+    def test_read_fault_on_view_keeps_old_table(self, database, view):
+        import datetime
+
+        from repro.errors import StorageFault
+        from repro.resilience import SCOPE_ALL, FaultInjector, FaultPolicy
+
+        maintainer = ViewMaintainer(database)
+        maintainer.materialize(view)
+        old_table = database.table("mv_oc")
+        rows_before = old_table.rows()
+        delta = [
+            {"Pid": 2, "Cid": 4, "quantity": 6, "date": datetime.date(1996, 8, 8)}
+        ]
+        database.table("Order").insert_many(delta)
+
+        database.fault_injector = FaultInjector(
+            FaultPolicy(relation_rates=(("mv_oc", 1.0),), scope=SCOPE_ALL, seed=0)
+        )
+        with pytest.raises(StorageFault):
+            maintainer.incremental_refresh(view, "Order", delta)
+        database.fault_injector = None
+
+        assert database.table("mv_oc") is old_table
+        assert old_table.rows() == rows_before

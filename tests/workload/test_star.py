@@ -45,8 +45,9 @@ class TestStarWorkload:
 
     def test_designable(self):
         """A star workload flows through the full design pipeline."""
+        from repro.mvpp import DesignConfig
         from repro.mvpp.generation import design
 
         workload = star_workload(StarConfig(num_dimensions=2, num_queries=3, seed=6))
-        result = design(workload, rotations=1)
+        result = design(workload, DesignConfig(rotations=1))
         assert result.breakdown.total > 0
