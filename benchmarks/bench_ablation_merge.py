@@ -83,8 +83,8 @@ def test_merge_vs_naive_sharing(benchmark):
     # …but NOT always a cheaper design: on the paper example the naive
     # build keeps per-query selections exact (no disjunctive stems) and
     # wins on total cost.  An honest deviation, reported below; the
-    # design(include_naive=True) option takes the best of both.
-    from repro.mvpp import design as run_design
+    # DesignConfig(include_naive=True) option takes the best of both.
+    from repro.mvpp import DesignConfig, design as run_design
 
     for name, workload in (
         ("paper example", paper_workload()),
@@ -93,7 +93,7 @@ def test_merge_vs_naive_sharing(benchmark):
             overlap_workload(OverlapConfig(overlap=1.0, num_queries=6, seed=2)),
         ),
     ):
-        combined = run_design(workload, include_naive=True)
+        combined = run_design(workload, DesignConfig(include_naive=True))
         _, naive_total, _, merged_total, _ = by_name[name]
         assert combined.total_cost <= min(naive_total, merged_total) + 1e-6
 

@@ -418,15 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(--self only; default DIR: .repro-lint-cache)",
     )
     lint_parser.add_argument(
-        "--diff", metavar="REV", default=None,
-        help="restrict per-file analysis to files changed since the git "
-             "revision REV (--self only; package-wide rules still run)",
-    )
-    lint_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan uncached files out over N worker threads (--self only)",
-    )
-    lint_parser.add_argument(
         "--baseline", metavar="FILE", default=None,
         help="hide findings listed in this baseline file; expired "
              "entries (no longer matching) are reported",
@@ -1167,16 +1158,8 @@ def command_lint(args: argparse.Namespace) -> int:
                 [Path(p) for p in args.path], base=Path.cwd()
             )
         else:
-            changed = None
-            if args.diff:
-                import repro
-
-                package_base = Path(repro.__file__).resolve().parent.parent
-                changed = lint_mod.changed_files(args.diff, base=package_base)
             report = lint_mod.lint_self_incremental(
                 cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-                changed=changed,
-                jobs=args.jobs,
             )
     else:
         workload = resolve_workload(args)

@@ -12,8 +12,9 @@ stability contract):
   :class:`~repro.executor.physical.PhysicalPlanner`,
   :class:`~repro.executor.physical.BuildSideCache`).
 
-The free functions re-exported from :mod:`repro.executor.iterators`
-(``linear_select`` et al.) are deprecated shims kept for one release.
+To run one operator over stored tables, build it over
+:func:`~repro.executor.physical.scan_of` leaves and drive it with
+:func:`~repro.executor.physical.execute_operator`.
 """
 
 from repro.executor.batch import Batch, DEFAULT_BATCH_SIZE
@@ -31,15 +32,6 @@ from repro.executor.engine import (
     load_database,
 )
 from repro.executor.indexes import IndexManager, index_nested_loop_join
-from repro.executor.iterators import (
-    aggregate_table,
-    sort_merge_join,
-    hash_join,
-    linear_select,
-    materialize_table,
-    nested_loop_join,
-    project_table,
-)
 from repro.executor.physical import (
     BuildSideCache,
     ExecutionContext,
@@ -92,12 +84,5 @@ __all__ = [
     "execute_operator",
     "index_nested_loop_join",
     "scan_of",
-    "sort_merge_join",
-    "aggregate_table",
-    "hash_join",
-    "linear_select",
     "load_database",
-    "materialize_table",
-    "nested_loop_join",
-    "project_table",
 ]

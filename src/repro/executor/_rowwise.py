@@ -1,28 +1,17 @@
-"""Row-at-a-time operators over block-structured tables (deprecated API).
+"""Row-at-a-time operators over block-structured tables: the REFERENCE engine.
 
-.. deprecated::
-    The free functions in this module are superseded by the physical
-    operator classes in :mod:`repro.executor.physical` — construct a
-    :class:`~repro.executor.physical.PhysicalOperator` tree (usually via
-    :class:`~repro.executor.physical.PhysicalPlanner`) and drive it with
-    :func:`~repro.executor.physical.execute_operator`.  The public names
-    here are thin shims that emit :class:`DeprecationWarning` and
-    delegate to the physical layer; they will be removed in a future
-    release.  See ``docs/api.md`` for the stability contract.
-
-The private ``_``-prefixed implementations remain the row-at-a-time
-*reference engine*: each consumes input
-:class:`~repro.storage.table.Table` objects, charges the *same*
-block-I/O pattern the analytical cost model assumes (linear-scan
-selection, block nested-loop join, ...), and produces a new table.
-``ExecutionEngine.execute(plan, engine="reference")`` runs them, and the
-equivalence suite checks the vectorized engine against them —
-see ``tests/executor/test_vectorized_equivalence.py``.
+Each operator consumes input :class:`~repro.storage.table.Table`
+objects, charges the *same* block-I/O pattern the analytical cost model
+assumes (linear-scan selection, block nested-loop join, ...), and
+produces a new table.  ``ExecutionEngine.execute(plan,
+engine="reference")`` runs them, and the equivalence suite checks the
+vectorized engine against them — see
+``tests/executor/test_vectorized_equivalence.py``.  Everything here is
+private; the public operator API is :mod:`repro.executor.physical`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expression
@@ -32,141 +21,7 @@ from repro.errors import ExecutionError
 from repro.storage.block import IOCounter
 from repro.storage.table import Table
 
-__all__ = [
-    "aggregate_table",
-    "hash_join",
-    "limit_table",
-    "linear_select",
-    "materialize_table",
-    "nested_loop_join",
-    "project_table",
-    "sort_merge_join",
-    "sort_table",
-]
 
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.executor.iterators.{name}() is deprecated; use "
-        f"repro.executor.physical.{replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-# --------------------------------------------------------- deprecated shims
-def linear_select(source: Table, predicate: Expression) -> Table:
-    """σ via linear scan. Deprecated shim over :class:`physical.Filter`."""
-    _warn_deprecated("linear_select", "Filter")
-    from repro.executor import physical
-
-    op = physical.Filter(physical.scan_of(source), predicate)
-    return physical.execute_operator(op, io=source.io)
-
-
-def project_table(
-    source: Table, attributes: Sequence[str], distinct: bool = False
-) -> Table:
-    """π. Deprecated shim over :class:`physical.Projection`."""
-    _warn_deprecated("project_table", "Projection")
-    from repro.executor import physical
-
-    op = physical.Projection(physical.scan_of(source), attributes, distinct)
-    return physical.execute_operator(op, io=source.io)
-
-
-def nested_loop_join(
-    outer: Table,
-    inner: Table,
-    condition: Optional[Expression],
-) -> Table:
-    """Block nested-loop join. Deprecated shim over
-    :class:`physical.NestedLoopJoin`."""
-    _warn_deprecated("nested_loop_join", "NestedLoopJoin")
-    from repro.executor import physical
-
-    op = physical.NestedLoopJoin(
-        physical.scan_of(outer), physical.scan_of(inner), condition
-    )
-    return physical.execute_operator(op, io=outer.io)
-
-
-def hash_join(
-    outer: Table,
-    inner: Table,
-    equi_pairs: Sequence[Tuple[str, str]],
-    residual: Optional[Expression] = None,
-) -> Table:
-    """In-memory hash join. Deprecated shim over :class:`physical.HashJoin`."""
-    _warn_deprecated("hash_join", "HashJoin")
-    from repro.executor import physical
-
-    op = physical.HashJoin(
-        physical.scan_of(outer), physical.scan_of(inner), equi_pairs, residual
-    )
-    return physical.execute_operator(op, io=outer.io)
-
-
-def sort_merge_join(
-    outer: Table,
-    inner: Table,
-    equi_pairs: Sequence[Tuple[str, str]],
-    residual: Optional[Expression] = None,
-) -> Table:
-    """Sort-merge join. Deprecated shim over :class:`physical.MergeJoin`."""
-    _warn_deprecated("sort_merge_join", "MergeJoin")
-    from repro.executor import physical
-
-    op = physical.MergeJoin(
-        physical.scan_of(outer), physical.scan_of(inner), equi_pairs, residual
-    )
-    return physical.execute_operator(op, io=outer.io)
-
-
-def aggregate_table(
-    source: Table,
-    group_by: Sequence[str],
-    specs: Sequence[AggregateSpec],
-    output_schema: RelationSchema,
-) -> Table:
-    """γ. Deprecated shim over :class:`physical.HashAggregate`."""
-    _warn_deprecated("aggregate_table", "HashAggregate")
-    from repro.executor import physical
-
-    op = physical.HashAggregate(
-        physical.scan_of(source), group_by, specs, output_schema
-    )
-    return physical.execute_operator(op, io=source.io)
-
-
-def sort_table(source: Table, keys: Sequence[Tuple[str, bool]]) -> Table:
-    """τ (ORDER BY). Deprecated shim over :class:`physical.SortOperator`."""
-    _warn_deprecated("sort_table", "SortOperator")
-    from repro.executor import physical
-
-    op = physical.SortOperator(physical.scan_of(source), keys)
-    return physical.execute_operator(op, io=source.io)
-
-
-def limit_table(source: Table, count: int) -> Table:
-    """LIMIT. Deprecated shim over :class:`physical.LimitOperator`."""
-    _warn_deprecated("limit_table", "LimitOperator")
-    from repro.executor import physical
-
-    op = physical.LimitOperator(physical.scan_of(source), count)
-    return physical.execute_operator(op, io=source.io)
-
-
-def materialize_table(result: Table) -> Table:
-    """Charge materialization writes. Deprecated shim over
-    :func:`physical.charge_materialize`."""
-    _warn_deprecated("materialize_table", "charge_materialize")
-    from repro.executor.physical import charge_materialize
-
-    return charge_materialize(result)
-
-
-# ------------------------------------------------- reference implementations
 def _linear_select(source: Table, predicate: Expression) -> Table:
     """σ via linear scan: reads every block of ``source``."""
     out = Table(source.schema, source.blocking_factor, io=source.io)

@@ -9,9 +9,9 @@ two execution engines sharing a single semantics:
   :class:`~repro.storage.columnar.ColumnView` chunks.  Hash-join build
   sides are reused across refreshes through the engine's
   :class:`~repro.executor.physical.BuildSideCache`.
-* ``reference`` — the original row-at-a-time operators
-  (:mod:`repro.executor.iterators`), kept as the behavioural oracle the
-  equivalence suite checks the vectorized engine against.
+* ``reference`` — the original row-at-a-time operators (the private
+  ``repro.executor._rowwise`` module), kept as the behavioural oracle
+  the equivalence suite checks the vectorized engine against.
 
 Both engines produce bit-identical rows and charge identical block I/O
 to the same counters, so a query's measured I/O is directly comparable
@@ -312,7 +312,7 @@ class ExecutionEngine:
         return result
 
     def _reference_node(self, plan: Operator) -> Table:
-        from repro.executor.iterators import (
+        from repro.executor._rowwise import (
             _aggregate_table,
             _limit_table,
             _linear_select,
@@ -350,7 +350,7 @@ class ExecutionEngine:
         raise ExecutionError(f"cannot execute operator {type(plan).__name__}")
 
     def _reference_join(self, plan: Join) -> Table:
-        from repro.executor.iterators import (
+        from repro.executor._rowwise import (
             _hash_join,
             _nested_loop_join,
             _sort_merge_join,

@@ -17,7 +17,7 @@ from repro.algebra.expressions import Expression
 from repro.errors import ExecutionError
 from repro.storage.index import HashIndex
 from repro.storage.table import Table
-from repro.executor.iterators import _joined_blocking_factor
+from repro.executor._rowwise import _joined_blocking_factor
 
 
 class IndexManager:

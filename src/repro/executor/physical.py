@@ -1396,9 +1396,10 @@ def execute_operator(
 ) -> Table:
     """Drive one operator tree to completion and build its result table.
 
-    The deprecated free functions in ``repro.executor.iterators``
-    delegate here; no obs recording, no build cache — their historical
-    contract is exactly one table in, one table out, identical I/O.
+    No obs recording and no build cache: one operator tree in, one
+    table out, charging its block I/O to ``io``.  Tests use it to run a
+    single operator over stored tables, e.g.
+    ``execute_operator(Filter(scan_of(t), p), io=t.io)``.
     """
     ctx = ExecutionContext(
         io=io, batch_size=batch_size, database=database, indexes=indexes

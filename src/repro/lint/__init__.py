@@ -24,7 +24,7 @@ All layers share one vocabulary (:class:`Diagnostic`, :class:`Severity`,
 :class:`LintReport`), one string-keyed rule registry (mirroring the
 selection-strategy registry), the emitters in :mod:`repro.lint.emitters`
 (text / JSON / SARIF / GitHub annotations), and the incremental engine
-in :mod:`repro.lint.incremental` (content-hash caching, ``--diff``,
+in :mod:`repro.lint.incremental` (content-hash caching and
 baselines).  The rule catalog is documented in ``docs/lint.md``.
 """
 
@@ -70,7 +70,6 @@ from repro.lint.concurrency import PackageContext, lint_concurrency
 from repro.lint.effects import lint_effects
 from repro.lint.incremental import (
     apply_baseline,
-    changed_files,
     lint_package,
     lint_self_incremental,
     load_baseline,
@@ -91,7 +90,6 @@ __all__ = [
     "Suppressions",
     "all_rules",
     "apply_baseline",
-    "changed_files",
     "diagnostic_fingerprint",
     "fingerprint_of",
     "get_rule",

@@ -1,8 +1,8 @@
-"""Incremental lint engine: content-hash caching, --diff, baselines.
+"""Incremental lint engine: content-hash caching and baselines.
 
 ``repro lint --self`` gates every CI run, so it must not re-pay the
 full-package analysis cost when nothing changed.  This module makes the
-run incremental along three independent axes:
+run incremental along two independent axes:
 
 * **Per-file result cache** — each file's code-scope report is keyed by
   ``sha256(engine fingerprint + file bytes)`` and stored as JSON under a
@@ -13,10 +13,6 @@ run incremental along three independent axes:
 * **Package-level cache** — the interprocedural concurrency/effect
   analysis is whole-package by nature, so it caches one entry keyed on
   the digest of *all* file hashes: any edit re-runs it, no edit skips it.
-* **--diff restriction** — ``repro lint --self --diff <rev>`` restricts
-  the per-file stage to files changed since ``rev`` (via ``git diff
-  --name-only``); the package stage always covers everything, keeping
-  interprocedural findings sound.
 
 A **baseline** file (``lint-baseline.json``) suppresses known findings
 by stable fingerprint so new code can be gated strictly while old debt
@@ -29,9 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import subprocess
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.code import iter_python_files, lint_source
 from repro.lint.concurrency import PackageContext, lint_concurrency
@@ -175,41 +170,6 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# --diff support
-# ---------------------------------------------------------------------------
-def changed_files(
-    rev: str, base: Path, repo_root: Optional[Path] = None
-) -> Set[str]:
-    """Display paths (relative to ``base``) changed since ``rev``.
-
-    Runs ``git diff --name-only`` in ``repo_root`` (default: cwd).
-    Unknown revisions raise ``ValueError`` so a typo cannot silently
-    lint nothing.
-    """
-    command = ["git", "diff", "--name-only", rev, "--", "*.py"]
-    completed = subprocess.run(
-        command,
-        cwd=str(repo_root) if repo_root else None,
-        capture_output=True,
-        text=True,
-    )
-    if completed.returncode != 0:
-        raise ValueError(
-            f"git diff against {rev!r} failed: {completed.stderr.strip()}"
-        )
-    root = Path(repo_root) if repo_root else Path.cwd()
-    base = Path(base).resolve()
-    out: Set[str] = set()
-    for line in completed.stdout.splitlines():
-        candidate = (root / line.strip()).resolve()
-        try:
-            out.add(str(candidate.relative_to(base)))
-        except ValueError:
-            continue  # changed file outside the linted tree
-    return out
-
-
-# ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------
 def load_baseline(path: Path) -> List[Dict[str, str]]:
@@ -280,25 +240,16 @@ def write_baseline(report: LintReport, path: Path) -> int:
 # ---------------------------------------------------------------------------
 # the incremental run
 # ---------------------------------------------------------------------------
-def _lint_one(payload: Tuple[str, str]) -> LintReport:
-    display, source = payload
-    return lint_source(source, path=display)
-
-
 def lint_package(
     package_root: Path,
     base: Optional[Path] = None,
     cache_dir: Optional[Path] = None,
-    changed: Optional[Set[str]] = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Run all three analyzer layers over a package tree.
 
-    Per-file code rules honor the result cache and the ``changed``
-    restriction; the package-level concurrency/effect rules always see
-    every file (interprocedural soundness) but cache on the whole-tree
-    digest.  ``jobs > 1`` fans uncached files out over the thread
-    executor.
+    Per-file code rules honor the result cache; the package-level
+    concurrency/effect rules always see every file (interprocedural
+    soundness) but cache on the whole-tree digest.
     """
     package_root = Path(package_root)
     base = Path(base) if base is not None else package_root.parent
@@ -319,8 +270,6 @@ def lint_package(
     # ---------------------------------------------------- per-file stage
     pending: List[Tuple[str, str]] = []
     for display, _dotted, source in files:
-        if changed is not None and display not in changed:
-            continue
         if cache is not None:
             cached = cache.lookup(file_key(source))
             if cached is not None:
@@ -328,22 +277,11 @@ def lint_package(
                 continue
         pending.append((display, source))
 
-    if pending:
-        if jobs > 1:
-            # The process backend, not threads: per-file linting is
-            # parse+walk CPU work the GIL would serialize anyway (and
-            # CPython 3.11's compile() is not reliable off the main
-            # thread — "AST constructor recursion depth mismatch").
-            from repro.parallel import resolve_executor
-
-            executor = resolve_executor("process", workers=jobs)
-            results = executor.map(_lint_one, pending)
-        else:
-            results = [_lint_one(payload) for payload in pending]
-        for (_display, source), file_report in zip(pending, results):
-            if cache is not None:
-                cache.store(file_key(source), file_report)
-            report.merge(file_report)
+    for display, source in pending:
+        file_report = lint_source(source, path=display)
+        if cache is not None:
+            cache.store(file_key(source), file_report)
+        report.merge(file_report)
 
     # ----------------------------------------------------- package stage
     tree_digest = fingerprint_of(
@@ -371,13 +309,9 @@ def lint_package(
     return report
 
 
-def lint_self_incremental(
-    cache_dir: Optional[Path] = None,
-    changed: Optional[Set[str]] = None,
-    jobs: int = 1,
-) -> LintReport:
+def lint_self_incremental(cache_dir: Optional[Path] = None) -> LintReport:
     """``repro lint --self``: all three analyzers over the installed
-    ``repro`` package, optionally cached/restricted."""
+    ``repro`` package, optionally cached."""
     import repro
 
     package_root = Path(repro.__file__).resolve().parent
@@ -385,6 +319,4 @@ def lint_self_incremental(
         package_root,
         base=package_root.parent,
         cache_dir=cache_dir,
-        changed=changed,
-        jobs=jobs,
     )

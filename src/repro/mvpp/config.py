@@ -1,13 +1,12 @@
 """The unified design-pipeline configuration and result protocol.
 
-Historically the pipeline grew three divergent entry-point signatures —
-``repro.design(workload, estimator, cost_model, rotations, ...)``,
-``DataWarehouse.design(rotations, push_down)`` and the CLI's flag set.
-:class:`DesignConfig` replaces all of them: one frozen dataclass holding
-every design-time knob (selection strategy, candidate count, parallel
-workers, cost-cache toggle, seed), accepted by every entry point.  The
-old keyword arguments keep working through :func:`coerce_design_config`,
-which shims them into a config and emits a :class:`DeprecationWarning`.
+:class:`DesignConfig` is one frozen dataclass holding every design-time
+knob (selection strategy, candidate count, parallel workers, cost-cache
+toggle, seed).  It is the only way to configure :func:`repro.design`,
+:meth:`DataWarehouse.design
+<repro.warehouse.warehouse.DataWarehouse.design>` and
+:meth:`~repro.warehouse.warehouse.DataWarehouse.redesign`; the CLI builds
+one from its flags.
 
 :class:`CostedResult` is the common read protocol shared by
 :class:`~repro.mvpp.generation.DesignResult` and
@@ -18,9 +17,8 @@ full pipeline results are interchangeable in reports and tests.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import MVPPError
 from repro.mvpp.cost import PER_BASE, PER_PERIOD
@@ -31,7 +29,6 @@ __all__ = [
     "CostedResult",
     "DesignConfig",
     "DEFAULT_DESIGN_CONFIG",
-    "coerce_design_config",
 ]
 
 
@@ -150,49 +147,6 @@ class DesignConfig:
 
 #: The all-defaults config: Figure-9 heuristic, serial, cache on.
 DEFAULT_DESIGN_CONFIG = DesignConfig()
-
-#: Legacy keyword arguments accepted (with a DeprecationWarning) by the
-#: entry points, mapped to their DesignConfig field.
-_LEGACY_KWARGS = {
-    "rotations": "rotations",
-    "maintenance_trigger": "maintenance_trigger",
-    "push_down": "push_down",
-    "include_naive": "include_naive",
-    "workers": "workers",
-}
-
-
-def coerce_design_config(
-    config: Optional[DesignConfig],
-    legacy: Dict[str, Any],
-    owner: str = "design()",
-) -> DesignConfig:
-    """Fold legacy keyword arguments into a :class:`DesignConfig`.
-
-    ``legacy`` is the ``**kwargs`` dict an entry point captured.  Known
-    legacy keys are shimmed into the config with a
-    :class:`DeprecationWarning`; unknown keys raise :class:`TypeError`
-    (matching normal keyword-argument behaviour).
-    """
-    unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s): {', '.join(unknown)}"
-        )
-    if not legacy:
-        return config or DEFAULT_DESIGN_CONFIG
-    warnings.warn(
-        f"passing {', '.join(sorted(legacy))} to {owner} as keyword "
-        f"argument(s) is deprecated; pass a DesignConfig instead "
-        f"(e.g. DesignConfig({', '.join(f'{k}=...' for k in sorted(legacy))}))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    base = config or DEFAULT_DESIGN_CONFIG
-    return base.replace(
-        **{_LEGACY_KWARGS[key]: value for key, value in legacy.items()}
-    )
-
 
 @runtime_checkable
 class CostedResult(Protocol):

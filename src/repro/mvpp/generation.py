@@ -35,11 +35,7 @@ from repro.algebra.operators import (
 from repro.algebra.rewrite import PulledPlan, pull_up
 from repro.algebra.tree import leaves as tree_leaves
 from repro.errors import MVPPError
-from repro.mvpp.config import (
-    DEFAULT_DESIGN_CONFIG,
-    DesignConfig,
-    coerce_design_config,
-)
+from repro.mvpp.config import DEFAULT_DESIGN_CONFIG, DesignConfig
 from repro.mvpp.cost import PER_PERIOD, CostBreakdown, CostCache, MVPPCostCalculator
 from repro.mvpp.graph import MVPP, Vertex
 from repro.parallel.executor import SerialExecutor, resolve_executor
@@ -400,18 +396,13 @@ def design(
     estimator: Optional[CardinalityEstimator] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     cache: Optional[CostCache] = None,
-    **legacy: Any,
 ) -> DesignResult:
     """Generate candidate MVPPs, select views on each, keep the cheapest.
 
     The unified entry point: every knob lives on ``config`` (a
     :class:`~repro.mvpp.config.DesignConfig`); ``estimator`` /
     ``cost_model`` stay separate because they are live objects, not
-    configuration values.  The legacy keyword arguments (``rotations``,
-    ``maintenance_trigger``, ``push_down``, ``include_naive``) still
-    work but emit a :class:`DeprecationWarning`; for backward
-    compatibility an estimator may also be passed as the second
-    positional argument.
+    configuration values.
 
     ``config.workers > 1`` fans the per-candidate Figure-9 selection
     out on the configured executor; ``config.cache`` shares one
@@ -432,14 +423,10 @@ def design(
     from repro.mvpp.builder import build_from_workload
 
     if config is not None and not isinstance(config, DesignConfig):
-        # Legacy shape: design(workload, estimator, ...) positionally.
-        if estimator is not None:
-            raise TypeError(
-                "design() got two estimators; pass a DesignConfig second "
-                "and the estimator as a keyword"
-            )
-        estimator, config = config, None
-    config = coerce_design_config(config, legacy, owner="design()")
+        raise TypeError(
+            f"design() config must be a DesignConfig, not {type(config).__name__}"
+        )
+    config = config or DEFAULT_DESIGN_CONFIG
 
     estimator = estimator or CardinalityEstimator(workload.statistics)
     trigger = config.resolved_trigger(PER_PERIOD)

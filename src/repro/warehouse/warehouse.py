@@ -20,8 +20,7 @@ the measured block I/O realizes the design's predicted query cost.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.catalog.schema import Catalog
@@ -33,7 +32,7 @@ from repro.executor.engine import (
     NESTED_LOOP,
     VECTORIZED,
 )
-from repro.mvpp.config import DesignConfig, coerce_design_config
+from repro.mvpp.config import DEFAULT_DESIGN_CONFIG, DesignConfig
 from repro.mvpp.cost import (
     CostBreakdown,
     CostCache,
@@ -220,22 +219,16 @@ class DataWarehouse:
         return warehouse
 
     # ---------------------------------------------------------------- design
-    def design(
-        self, config: Optional[DesignConfig] = None, **legacy: Any
-    ) -> DesignResult:
+    def design(self, config: Optional[DesignConfig] = None) -> DesignResult:
         """Run the full MVPP pipeline and install the chosen views.
 
         Takes the same :class:`~repro.mvpp.config.DesignConfig` as
         :func:`repro.design`; a config without an explicit
-        ``maintenance_trigger`` inherits the warehouse's.  The legacy
-        ``rotations`` / ``push_down`` keyword arguments still work but
-        emit a :class:`DeprecationWarning`.
+        ``maintenance_trigger`` inherits the warehouse's.
         """
         if not self._queries:
             raise WarehouseError("register at least one query before designing")
-        config = coerce_design_config(
-            config, legacy, owner="DataWarehouse.design()"
-        )
+        config = config or DEFAULT_DESIGN_CONFIG
         if config.maintenance_trigger is None:
             config = config.replace(maintenance_trigger=self.maintenance_trigger)
         if config.resilience is not None:
@@ -626,32 +619,8 @@ class DataWarehouse:
         return self._scheduler.allows(view_name)
 
     # --------------------------------------------------------------- queries
-    @staticmethod
-    def _positional_shim(
-        method: str, extra: Tuple[Any, ...], use_views: bool, freshness: str
-    ) -> Tuple[bool, str]:
-        """Accept the pre-1.1 positional ``(use_views, freshness)`` call
-        shape with a :class:`DeprecationWarning` (keyword-only now)."""
-        if not extra:
-            return use_views, freshness
-        if len(extra) > 2:
-            raise TypeError(
-                f"DataWarehouse.{method}() takes at most 3 positional arguments"
-            )
-        warnings.warn(
-            f"passing use_views/freshness positionally to "
-            f"DataWarehouse.{method}() is deprecated; use keywords "
-            f"(e.g. {method}(name, use_views=False))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        use_views = bool(extra[0])
-        if len(extra) == 2:
-            freshness = extra[1]
-        return use_views, freshness
-
     def query_plan(
-        self, name: str, *extra: Any, use_views: bool = True, freshness: str = "any"
+        self, name: str, *, use_views: bool = True, freshness: str = "any"
     ):
         """The (possibly view-rewritten) executable plan for a query.
 
@@ -663,9 +632,6 @@ class DataWarehouse:
           falls back to base data;
         * ``"refresh"`` — refresh stale views first, then use them all.
         """
-        use_views, freshness = self._positional_shim(
-            "query_plan", extra, use_views, freshness
-        )
         spec = next((q for q in self._queries if q.name == name), None)
         if spec is None:
             raise WarehouseError(f"unknown query {name!r}")
@@ -697,18 +663,11 @@ class DataWarehouse:
     def execute(
         self,
         name: str,
-        *extra: Any,
+        *,
         use_views: bool = True,
         freshness: str = "any",
     ) -> Tuple[Table, IOSnapshot]:
-        """Answer a registered query; returns (result, measured block I/O).
-
-        ``use_views`` and ``freshness`` are keyword-only (positional
-        bools are deprecated).
-        """
-        use_views, freshness = self._positional_shim(
-            "execute", extra, use_views, freshness
-        )
+        """Answer a registered query; returns (result, measured block I/O)."""
         with obs.span(
             "execution.warehouse_query",
             query=name,
@@ -897,9 +856,7 @@ class DataWarehouse:
             float(measured_io),
         )
 
-    def redesign(
-        self, config: Optional[DesignConfig] = None, **legacy: Any
-    ) -> "MigrationPlan":
+    def redesign(self, config: Optional[DesignConfig] = None) -> "MigrationPlan":
         """Re-run the design pipeline and migrate the installed views.
 
         Stored tables of views whose defining plans survive are kept
@@ -910,14 +867,11 @@ class DataWarehouse:
         :func:`~repro.warehouse.evolution.cost_migration`).
 
         Accepts the same :class:`~repro.mvpp.config.DesignConfig` as
-        :meth:`design` (legacy ``rotations`` / ``push_down`` keywords
-        are shimmed with a :class:`DeprecationWarning`).
+        :meth:`design`.
         """
         if not self._queries:
             raise WarehouseError("register at least one query before designing")
-        config = coerce_design_config(
-            config, legacy, owner="DataWarehouse.redesign()"
-        )
+        config = config or DEFAULT_DESIGN_CONFIG
         if config.maintenance_trigger is None:
             config = config.replace(maintenance_trigger=self.maintenance_trigger)
         if config.resilience is not None:
@@ -1030,18 +984,14 @@ class DataWarehouse:
         return migration
 
     def explain(
-        self, name: str, *extra: Any, use_views: bool = True, freshness: str = "any"
+        self, name: str, *, use_views: bool = True, freshness: str = "any"
     ) -> str:
         """EXPLAIN-style report: the executable plan with estimated
         per-node cardinalities and block-access costs, plus which
-        materialized views the rewrite uses.  ``use_views`` and
-        ``freshness`` are keyword-only (positional bools are deprecated)."""
+        materialized views the rewrite uses."""
         from repro.optimizer.plans import AnnotatedPlan
         from repro.warehouse.rewriter import rewrite_with_views
 
-        use_views, freshness = self._positional_shim(
-            "explain", extra, use_views, freshness
-        )
         spec = next((q for q in self._queries if q.name == name), None)
         if spec is None:
             raise WarehouseError(f"unknown query {name!r}")
@@ -1076,19 +1026,15 @@ class DataWarehouse:
         return "\n".join(lines)
 
     def profile(
-        self, name: str, *extra: Any, use_views: bool = True
+        self, name: str, *, use_views: bool = True
     ) -> "QueryProfile":
         """Run a query and report estimated-vs-measured cost and rows.
 
-        ``use_views`` is keyword-only (a positional bool is deprecated),
-        matching :meth:`execute` / :meth:`explain`.  The estimation
-        error quantifies how well the Table-1-style statistics describe
+        The estimation error quantifies how well the Table-1-style statistics describe
         the loaded data — large deviations suggest running
         :meth:`sync_statistics` (or re-designing).
         """
         from repro.optimizer.plans import AnnotatedPlan
-
-        use_views, _ = self._positional_shim("profile", extra, use_views, "any")
 
         plan = self.query_plan(name, use_views=use_views)
         estimated_cost: Optional[float] = None

@@ -77,9 +77,9 @@ class TestMVPPCostTable:
 class TestDesignReport:
     def test_sections_present(self, workload):
         from repro.analysis.report import design_report
-        from repro.mvpp import design
+        from repro.mvpp import DesignConfig, design
 
-        result = design(workload, rotations=1)
+        result = design(workload, DesignConfig(rotations=1))
         text = design_report(result)
         assert "Chosen views" in text
         assert "Against the extremes" in text
@@ -89,9 +89,9 @@ class TestDesignReport:
 
     def test_design_row_is_best(self, workload):
         from repro.analysis.report import design_report
-        from repro.mvpp import design
+        from repro.mvpp import DesignConfig, design
 
-        result = design(workload, rotations=1)
+        result = design(workload, DesignConfig(rotations=1))
         text = design_report(result)
         # The strategy table marks the cheapest row; it must be ours.
         marked = [l for l in text.splitlines() if l.rstrip().endswith("*")]

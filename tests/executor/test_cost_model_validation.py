@@ -11,7 +11,13 @@ import pytest
 
 from repro.catalog.statistics import RelationStatistics
 from repro.executor.engine import ExecutionEngine, load_database
-from repro.executor.iterators import linear_select, nested_loop_join, project_table
+from repro.executor.physical import (
+    Filter,
+    NestedLoopJoin,
+    Projection,
+    execute_operator,
+    scan_of,
+)
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import NestedLoopCostModel
 from repro.optimizer.plans import AnnotatedPlan
@@ -37,21 +43,29 @@ class TestOperatorFormulas:
     def test_select_reads_equal_input_blocks(self, database):
         table = database.table("Division")
         database.io.reset()
-        linear_select(table, compare("Division.city", "=", literal("LA")))
+        execute_operator(
+            Filter(scan_of(table), compare("Division.city", "=", literal("LA"))),
+            io=table.io,
+        )
         assert database.io.reads == table.num_blocks
 
     def test_project_reads_equal_input_blocks(self, database):
         table = database.table("Product")
         database.io.reset()
-        project_table(table, ["Product.name"])
+        execute_operator(Projection(scan_of(table), ["Product.name"]), io=table.io)
         assert database.io.reads == table.num_blocks
 
     def test_nested_loop_reads_match_formula(self, database):
         orders = database.table("Order")
         customers = database.table("Customer")
         database.io.reset()
-        nested_loop_join(
-            orders, customers, compare("Order.Cid", "=", column("Customer.Cid"))
+        execute_operator(
+            NestedLoopJoin(
+                scan_of(orders),
+                scan_of(customers),
+                compare("Order.Cid", "=", column("Customer.Cid")),
+            ),
+            io=orders.io,
         )
         expected = orders.num_blocks + orders.num_blocks * customers.num_blocks
         assert database.io.reads == expected
@@ -77,8 +91,13 @@ class TestOperatorFormulas:
         )
         predicted = NestedLoopCostModel().local_cost(plan, estimator)
         database.io.reset()
-        nested_loop_join(
-            orders, customers, compare("Order.Cid", "=", column("Customer.Cid"))
+        execute_operator(
+            NestedLoopJoin(
+                scan_of(orders),
+                scan_of(customers),
+                compare("Order.Cid", "=", column("Customer.Cid")),
+            ),
+            io=orders.io,
         )
         assert database.io.reads == predicted
 

@@ -19,7 +19,7 @@ from repro.executor.engine import (
     load_database,
 )
 from repro.executor.indexes import IndexManager, index_nested_loop_join
-from repro.executor.iterators import nested_loop_join
+from repro.executor.physical import NestedLoopJoin, execute_operator, scan_of
 from repro.storage.table import Table
 from repro.workload.datagen import paper_rows
 
@@ -98,7 +98,10 @@ class TestIndexManager:
 class TestIndexNestedLoopJoin:
     def test_matches_nested_loop(self, orders, customers):
         condition = compare("Order.cid", "=", column("Customer.cid"))
-        reference = nested_loop_join(orders, customers, condition)
+        reference = execute_operator(
+            NestedLoopJoin(scan_of(orders), scan_of(customers), condition),
+            io=orders.io,
+        )
         index = IndexManager().ensure("Customer", customers, "cid")
         indexed = index_nested_loop_join(
             orders, index, ("Order.cid", "Customer.cid")
@@ -123,10 +126,13 @@ class TestIndexNestedLoopJoin:
         index_nested_loop_join(orders, index, ("Order.cid", "Customer.cid"))
         indexed_io = orders.io.reads
         orders.io.reset()
-        nested_loop_join(
-            orders,
-            big_customers,
-            compare("Order.cid", "=", column("Customer.cid")),
+        execute_operator(
+            NestedLoopJoin(
+                scan_of(orders),
+                scan_of(big_customers),
+                compare("Order.cid", "=", column("Customer.cid")),
+            ),
+            io=orders.io,
         )
         assert indexed_io < orders.io.reads
 

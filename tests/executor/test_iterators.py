@@ -7,13 +7,15 @@ from repro.algebra.operators import AggregateFunction, AggregateSpec, Aggregate,
 from repro.catalog.datatypes import DataType
 from repro.catalog.schema import Attribute, RelationSchema
 from repro.errors import ExecutionError
-from repro.executor.iterators import (
-    aggregate_table,
-    hash_join,
-    linear_select,
-    materialize_table,
-    nested_loop_join,
-    project_table,
+from repro.executor.physical import (
+    Filter,
+    HashAggregate,
+    HashJoin,
+    NestedLoopJoin,
+    Projection,
+    charge_materialize,
+    execute_operator,
+    scan_of,
 )
 from repro.storage.block import IOCounter
 from repro.storage.table import Table, table_from_rows
@@ -52,61 +54,93 @@ def customers(orders):
 
 class TestLinearSelect:
     def test_filters_rows(self, orders):
-        result = linear_select(orders, compare("Order.qty", ">", 100))
+        result = execute_operator(
+            Filter(scan_of(orders), compare("Order.qty", ">", 100)), io=orders.io
+        )
         assert result.cardinality == 9
 
     def test_charges_one_pass(self, orders):
         orders.io.reset()
-        linear_select(orders, compare("Order.qty", ">", 100))
+        execute_operator(
+            Filter(scan_of(orders), compare("Order.qty", ">", 100)), io=orders.io
+        )
         assert orders.io.reads == orders.num_blocks == 4
 
     def test_null_semantics_drop_unknown(self):
         table = make_table(
             "R", [("a", DataType.INTEGER)], [{"a": None}, {"a": 5}]
         )
-        result = linear_select(table, compare("R.a", ">", 1))
+        result = execute_operator(
+            Filter(scan_of(table), compare("R.a", ">", 1)), io=table.io
+        )
         assert result.cardinality == 1
 
 
 class TestProject:
     def test_keeps_columns(self, orders):
-        result = project_table(orders, ["Order.qty"])
+        result = execute_operator(
+            Projection(scan_of(orders), ["Order.qty"]), io=orders.io
+        )
         assert result.schema.attribute_names == ("Order.qty",)
         assert result.cardinality == 20
 
     def test_blocking_factor_improves(self, orders):
-        result = project_table(orders, ["Order.qty"])
+        result = execute_operator(
+            Projection(scan_of(orders), ["Order.qty"]), io=orders.io
+        )
         assert result.blocking_factor > orders.blocking_factor
 
     def test_bag_semantics_keep_duplicates(self, orders):
-        result = project_table(orders, ["Order.cid"])
+        result = execute_operator(
+            Projection(scan_of(orders), ["Order.cid"]), io=orders.io
+        )
         assert result.cardinality == 20  # no dedup
 
 
 class TestNestedLoopJoin:
     def test_result_rows(self, orders, customers):
         condition = compare("Order.cid", "=", column("Customer.cid"))
-        result = nested_loop_join(orders, customers, condition)
+        result = execute_operator(
+            NestedLoopJoin(scan_of(orders), scan_of(customers), condition),
+            io=orders.io,
+        )
         assert result.cardinality == 20
         assert set(result.schema.attribute_names) >= {"Order.id", "Customer.city"}
 
     def test_io_formula(self, orders, customers):
         orders.io.reset()
         condition = compare("Order.cid", "=", column("Customer.cid"))
-        nested_loop_join(orders, customers, condition)
+        execute_operator(
+            NestedLoopJoin(scan_of(orders), scan_of(customers), condition),
+            io=orders.io,
+        )
         expected = orders.num_blocks + orders.num_blocks * customers.num_blocks
         assert orders.io.reads == expected
 
     def test_cross_product(self, orders, customers):
-        result = nested_loop_join(orders, customers, None)
+        result = execute_operator(
+            NestedLoopJoin(scan_of(orders), scan_of(customers), None),
+            io=orders.io,
+        )
         assert result.cardinality == 20 * 4
 
 
 class TestHashJoin:
     def test_matches_nested_loop(self, orders, customers):
         condition = compare("Order.cid", "=", column("Customer.cid"))
-        nested = nested_loop_join(orders, customers, condition)
-        hashed = hash_join(orders, customers, [("Order.cid", "Customer.cid")])
+        nested = execute_operator(
+            NestedLoopJoin(scan_of(orders), scan_of(customers), condition),
+            io=orders.io,
+        )
+        hashed = execute_operator(
+            HashJoin(
+                scan_of(orders),
+                scan_of(customers),
+                [("Order.cid", "Customer.cid")],
+                None,
+            ),
+            io=orders.io,
+        )
         key = lambda t: sorted(  # noqa: E731
             tuple(sorted(r.items())) for r in t.rows()
         )
@@ -114,19 +148,33 @@ class TestHashJoin:
 
     def test_io_linear(self, orders, customers):
         orders.io.reset()
-        hash_join(orders, customers, [("Order.cid", "Customer.cid")])
+        execute_operator(
+            HashJoin(
+                scan_of(orders),
+                scan_of(customers),
+                [("Order.cid", "Customer.cid")],
+                None,
+            ),
+            io=orders.io,
+        )
         assert orders.io.reads == orders.num_blocks + customers.num_blocks
 
     def test_requires_keys(self, orders, customers):
         with pytest.raises(ExecutionError):
-            hash_join(orders, customers, [])
+            execute_operator(
+                HashJoin(scan_of(orders), scan_of(customers), [], None),
+                io=orders.io,
+            )
 
     def test_residual_applied(self, orders, customers):
-        result = hash_join(
-            orders,
-            customers,
-            [("Order.cid", "Customer.cid")],
-            residual=compare("Order.qty", ">", 100),
+        result = execute_operator(
+            HashJoin(
+                scan_of(orders),
+                scan_of(customers),
+                [("Order.cid", "Customer.cid")],
+                compare("Order.qty", ">", 100),
+            ),
+            io=orders.io,
         )
         assert result.cardinality == 9
 
@@ -142,7 +190,10 @@ class TestAggregate:
                 AggregateSpec(AggregateFunction.SUM, "Order.qty", "total"),
             ],
         )
-        result = aggregate_table(orders, agg.group_by, agg.aggregates, agg.schema)
+        result = execute_operator(
+            HashAggregate(scan_of(orders), agg.group_by, agg.aggregates, agg.schema),
+            io=orders.io,
+        )
         assert result.cardinality == 4
         by_cid = {r["Order.cid"]: r for r in result.rows()}
         assert by_cid[0]["n"] == 5
@@ -159,7 +210,10 @@ class TestAggregate:
                 AggregateSpec(AggregateFunction.AVG, "Order.qty", "mean"),
             ],
         )
-        result = aggregate_table(orders, agg.group_by, agg.aggregates, agg.schema)
+        result = execute_operator(
+            HashAggregate(scan_of(orders), agg.group_by, agg.aggregates, agg.schema),
+            io=orders.io,
+        )
         row = result.rows()[0]
         assert row["lo"] == 0 and row["hi"] == 190
         assert row["mean"] == pytest.approx(95.0)
@@ -170,7 +224,10 @@ class TestAggregate:
         agg = Aggregate(
             rel, [], [AggregateSpec(AggregateFunction.COUNT, None, "n")]
         )
-        result = aggregate_table(table, agg.group_by, agg.aggregates, agg.schema)
+        result = execute_operator(
+            HashAggregate(scan_of(table), agg.group_by, agg.aggregates, agg.schema),
+            io=table.io,
+        )
         assert result.rows() == [{"n": 0}]
 
     def test_null_values_skipped(self):
@@ -186,12 +243,15 @@ class TestAggregate:
                 AggregateSpec(AggregateFunction.SUM, "R.a", "s"),
             ],
         )
-        result = aggregate_table(table, agg.group_by, agg.aggregates, agg.schema)
+        result = execute_operator(
+            HashAggregate(scan_of(table), agg.group_by, agg.aggregates, agg.schema),
+            io=table.io,
+        )
         assert result.rows()[0] == {"n": 1, "s": 4.0}
 
 
 class TestMaterialize:
     def test_charges_writes(self, orders):
         orders.io.reset()
-        materialize_table(orders)
+        charge_materialize(orders)
         assert orders.io.writes == orders.num_blocks

@@ -9,7 +9,12 @@ from repro.catalog.datatypes import DataType
 from repro.catalog.schema import Attribute, RelationSchema
 from repro.errors import ExecutionError
 from repro.executor.engine import ExecutionEngine, SORT_MERGE, load_database
-from repro.executor.iterators import nested_loop_join, sort_merge_join
+from repro.executor.physical import (
+    MergeJoin,
+    NestedLoopJoin,
+    execute_operator,
+    scan_of,
+)
 from repro.storage.table import Table
 from repro.workload.datagen import paper_rows
 
@@ -50,9 +55,22 @@ def multiset(table):
 class TestSortMergeJoin:
     def test_matches_nested_loop(self, orders, customers):
         condition = compare("Order.cid", "=", column("Customer.cid"))
-        expected = multiset(nested_loop_join(orders, customers, condition))
+        expected = multiset(
+            execute_operator(
+                NestedLoopJoin(scan_of(orders), scan_of(customers), condition),
+                io=orders.io,
+            )
+        )
         got = multiset(
-            sort_merge_join(orders, customers, [("Order.cid", "Customer.cid")])
+            execute_operator(
+                MergeJoin(
+                    scan_of(orders),
+                    scan_of(customers),
+                    [("Order.cid", "Customer.cid")],
+                    None,
+                ),
+                io=orders.io,
+            )
         )
         assert got == expected
 
@@ -66,7 +84,10 @@ class TestSortMergeJoin:
             [{"k": 1, "b": i} for i in range(4)],
             io=left.io,
         )
-        result = sort_merge_join(left, right, [("L.k", "R.k")])
+        result = execute_operator(
+            MergeJoin(scan_of(left), scan_of(right), [("L.k", "R.k")], None),
+            io=left.io,
+        )
         assert result.cardinality == 12
 
     def test_null_keys_never_match(self):
@@ -77,12 +98,23 @@ class TestSortMergeJoin:
             "R", [("k2", DataType.INTEGER)], [{"k2": None}, {"k2": 1}],
             io=left.io,
         )
-        result = sort_merge_join(left, right, [("L.k", "R.k2")])
+        result = execute_operator(
+            MergeJoin(scan_of(left), scan_of(right), [("L.k", "R.k2")], None),
+            io=left.io,
+        )
         assert result.cardinality == 1
 
     def test_io_includes_sort_passes(self, orders, customers):
         orders.io.reset()
-        sort_merge_join(orders, customers, [("Order.cid", "Customer.cid")])
+        execute_operator(
+            MergeJoin(
+                scan_of(orders),
+                scan_of(customers),
+                [("Order.cid", "Customer.cid")],
+                None,
+            ),
+            io=orders.io,
+        )
         expected = 0
         for table in (orders, customers):
             blocks = table.num_blocks
@@ -93,14 +125,20 @@ class TestSortMergeJoin:
 
     def test_requires_keys(self, orders, customers):
         with pytest.raises(ExecutionError):
-            sort_merge_join(orders, customers, [])
+            execute_operator(
+                MergeJoin(scan_of(orders), scan_of(customers), [], None),
+                io=orders.io,
+            )
 
     def test_residual_applied(self, orders, customers):
-        result = sort_merge_join(
-            orders,
-            customers,
-            [("Order.cid", "Customer.cid")],
-            residual=compare("Order.id", "<", 5),
+        result = execute_operator(
+            MergeJoin(
+                scan_of(orders),
+                scan_of(customers),
+                [("Order.cid", "Customer.cid")],
+                compare("Order.id", "<", 5),
+            ),
+            io=orders.io,
         )
         assert result.cardinality == 5
 

@@ -345,6 +345,11 @@ class TestEngineSelector:
         assert "Scan[" in text
         assert engine.explain(plan, engine=REFERENCE) == plan.describe()
 
+    def test_planner_rejects_unbound_without_schema(self):
+        planner = PhysicalPlanner(database=None, require_tables=True)
+        with pytest.raises(ExecutionError):
+            planner.lower(Relation("A", SCHEMAS["A"]))
+
 
 class TestBuildSideCache:
     @staticmethod
@@ -445,26 +450,3 @@ class TestColumnView:
         before = table.io.snapshot()
         table.column_view().column("A.v")
         assert table.io.since(before).total == 0
-
-
-class TestDeprecatedShims:
-    def test_free_functions_warn_and_delegate(self):
-        from repro.executor import iterators
-
-        table = Table(SCHEMAS["A"], blocking_factor=3)
-        table.insert_many(
-            [{"A.id": i, "A.v": i} for i in range(5)], count_io=False
-        )
-        with pytest.warns(DeprecationWarning, match="linear_select"):
-            result = iterators.linear_select(
-                table, compare("A.v", ">", literal(2))
-            )
-        assert result.cardinality == 2
-        with pytest.warns(DeprecationWarning, match="project_table"):
-            projected = iterators.project_table(table, ["A.v"])
-        assert projected.schema.attribute_names == ("A.v",)
-
-    def test_planner_rejects_unbound_without_schema(self):
-        planner = PhysicalPlanner(database=None, require_tables=True)
-        with pytest.raises(ExecutionError):
-            planner.lower(Relation("A", SCHEMAS["A"]))

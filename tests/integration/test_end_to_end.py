@@ -10,6 +10,7 @@ reduce total measured query I/O.
 import pytest
 
 from repro.executor.engine import load_database
+from repro.mvpp import DesignConfig
 from repro.warehouse import DataWarehouse
 from repro.workload import (
     GeneratorConfig,
@@ -79,7 +80,7 @@ class TestSyntheticWorkloadsEndToEnd:
             )
         )
         warehouse = DataWarehouse.from_workload(generated.workload)
-        warehouse.design(rotations=1)
+        warehouse.design(DesignConfig(rotations=1))
         for relation, rows in synthetic_rows(generated, scale=0.02, seed=seed).items():
             warehouse.load(relation, rows)
         warehouse.materialize()
@@ -98,7 +99,7 @@ class TestSyntheticWorkloadsEndToEnd:
         hashed = DataWarehouse.from_workload(generated.workload, join_method=HASH)
         data = synthetic_rows(generated, scale=0.02, seed=9)
         for wh in (nested, hashed):
-            wh.design(rotations=1)
+            wh.design(DesignConfig(rotations=1))
             for relation, rows in data.items():
                 wh.load(relation, rows)
             wh.materialize()

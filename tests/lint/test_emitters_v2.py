@@ -1,11 +1,8 @@
 """Emitter v2 tests: SARIF partialFingerprints, the GitHub annotation
 format, JSON fingerprints, and the new CLI flags (``--cache-dir``,
-``--diff``, ``--baseline``, ``--write-baseline``, ``--format github``)."""
+``--baseline``, ``--write-baseline``, ``--format github``)."""
 
 import json
-import subprocess
-
-import pytest
 
 from repro.cli import main
 from repro.lint import (
@@ -177,16 +174,3 @@ class TestCliFlags:
         out = capsys.readouterr().out
         assert "expired" in out
         assert "--write-baseline" in out
-
-    def test_self_diff_against_head(self, tmp_path, capsys):
-        # The working tree may or may not have pending edits; the command
-        # must succeed either way and only analyze the diff.
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True
-        )
-        if completed.returncode != 0:
-            pytest.skip("not running inside a git checkout")
-        assert main(["lint", "--self", "--diff", "HEAD"]) == 0
-
-    def test_self_jobs(self, capsys):
-        assert main(["lint", "--self", "--jobs", "4"]) == 0

@@ -1,16 +1,13 @@
-"""Tests for the incremental lint engine: content-hash caching, the
-``--diff`` restriction against a real two-commit git repo, and baseline
-add/expire semantics."""
+"""Tests for the incremental lint engine: content-hash caching and
+baseline add/expire semantics."""
 
 import json
-import subprocess
 
 import pytest
 
 from repro import obs
 from repro.lint.incremental import (
     apply_baseline,
-    changed_files,
     engine_fingerprint,
     file_key,
     lint_package,
@@ -70,48 +67,6 @@ class TestResultCache:
         assert key != file_key(MUTABLE_DEFAULT)
         assert engine_fingerprint() in ("", engine_fingerprint())  # stable
         assert file_key(CLEAN) == key  # deterministic
-
-    def test_parallel_jobs_match_serial(self, package, tmp_path):
-        serial = lint_package(package, base=package.parent)
-        threaded = lint_package(package, base=package.parent, jobs=4)
-        assert [d.fingerprint for d in serial.diagnostics] == [
-            d.fingerprint for d in threaded.diagnostics
-        ]
-
-
-class TestDiffRestriction:
-    @pytest.fixture
-    def repo(self, tmp_path):
-        def git(*argv):
-            subprocess.run(
-                ["git", *argv], cwd=tmp_path, check=True, capture_output=True
-            )
-
-        git("init", ".")
-        git("config", "user.email", "lint@test")
-        git("config", "user.name", "lint")
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "a.py").write_text(UNSEEDED)
-        (pkg / "b.py").write_text(CLEAN)
-        git("add", "-A")
-        git("commit", "-m", "seed")
-        (pkg / "b.py").write_text(MUTABLE_DEFAULT)
-        return tmp_path
-
-    def test_changed_files_lists_only_the_edit(self, repo):
-        changed = changed_files("HEAD", base=repo, repo_root=repo)
-        assert changed == {"pkg/b.py"}
-
-    def test_diff_run_skips_unchanged_files(self, repo):
-        changed = changed_files("HEAD", base=repo, repo_root=repo)
-        report = lint_package(repo / "pkg", base=repo, changed=changed)
-        # a.py's C103 is outside the diff; b.py's C105 is inside.
-        assert [d.rule for d in report.diagnostics] == ["C105"]
-
-    def test_unknown_revision_raises(self, repo):
-        with pytest.raises(ValueError, match="git diff"):
-            changed_files("no-such-rev", base=repo, repo_root=repo)
 
 
 class TestBaseline:

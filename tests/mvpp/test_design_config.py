@@ -1,13 +1,13 @@
-"""The unified DesignConfig API: validation, registry, shims, protocol.
+"""The unified DesignConfig API: validation, registry, call shapes, protocol.
 
 Exercises the four entry points that accept a config —
 ``repro.design()``, ``DataWarehouse.design()``, ``redesign()`` and the
-CLI — plus the legacy call shapes they keep alive behind
-DeprecationWarnings, the strategy registry, and the CostedResult
-protocol shared by StrategyResult and DesignResult.
+CLI — plus the removed pre-DesignConfig call shapes, which now raise
+``TypeError``, the strategy registry, and the CostedResult protocol
+shared by StrategyResult and DesignResult.
 """
 
-import warnings
+import importlib
 
 import pytest
 
@@ -15,7 +15,6 @@ import repro
 from repro import DesignConfig, DesignResult, StrategyResult, design
 from repro.errors import MVPPError
 from repro.mvpp import (
-    DEFAULT_DESIGN_CONFIG,
     CostedResult,
     MVPPCostCalculator,
     get_strategy,
@@ -23,7 +22,6 @@ from repro.mvpp import (
     strategies,
     strategy_names,
 )
-from repro.mvpp.config import coerce_design_config
 from repro.warehouse import DataWarehouse
 from repro.workload import paper_workload
 
@@ -72,24 +70,6 @@ class TestDesignConfig:
     def test_workers_zero_means_auto(self):
         config = DesignConfig(workers=0)
         assert config.parallel  # auto-sized pools are parallel
-
-
-class TestCoercion:
-    def test_no_legacy_returns_default(self):
-        assert coerce_design_config(None, {}) is DEFAULT_DESIGN_CONFIG
-
-    def test_config_passes_through(self):
-        config = DesignConfig(rotations=2)
-        assert coerce_design_config(config, {}) is config
-
-    def test_legacy_kwargs_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="rotations"):
-            config = coerce_design_config(None, {"rotations": 3})
-        assert config.rotations == 3
-
-    def test_unknown_kwargs_raise_type_error(self):
-        with pytest.raises(TypeError, match="bogus"):
-            coerce_design_config(None, {"bogus": 1})
 
 
 class TestStrategyRegistry:
@@ -148,35 +128,33 @@ class TestResultProtocol:
             assert hasattr(repro, name)
 
 
+#: Each pre-DesignConfig call shape, now a TypeError.  Arguments:
+#: the paper workload, its estimator, and a designed warehouse over it.
+REMOVED_SHAPES = {
+    "design-rotations-kwarg": lambda w, est, wh: design(w, rotations=1),
+    "design-positional-estimator": lambda w, est, wh: design(w, est),
+    "warehouse-design-rotations": lambda w, est, wh: wh.design(rotations=2),
+    "warehouse-redesign-rotations": lambda w, est, wh: wh.redesign(rotations=2),
+    "execute-positional-bool": lambda w, est, wh: wh.execute("Q1", True),
+    "explain-positional-bool": lambda w, est, wh: wh.explain("Q1", True),
+    "profile-positional-bool": lambda w, est, wh: wh.profile("Q1", False),
+    "query-plan-positional-bool": lambda w, est, wh: wh.query_plan("Q1", False),
+}
+
+
 class TestLegacyCallShapes:
-    """All four historical call shapes still work (with warnings)."""
+    """The pre-DesignConfig call shapes are gone; the CLI builds a config."""
 
-    def test_design_legacy_kwargs(self, workload):
-        with pytest.warns(DeprecationWarning):
-            result = design(workload, rotations=2, push_down=True)
-        assert result.config.rotations == 2
-
-    def test_design_positional_estimator(self, workload, estimator):
-        # design(workload, estimator) predates DesignConfig.
-        result = design(workload, estimator, rotations=1)
-        assert result.views
-
-    def test_design_rejects_two_estimators(self, workload, estimator):
-        with pytest.raises(TypeError, match="two estimators"):
-            design(workload, estimator, estimator=estimator)
-
-    def test_warehouse_design_legacy(self):
+    @pytest.mark.parametrize("shape", sorted(REMOVED_SHAPES))
+    def test_removed_shape_raises_type_error(self, shape, workload, estimator):
         warehouse = DataWarehouse.from_workload(paper_workload())
-        with pytest.warns(DeprecationWarning):
-            result = warehouse.design(rotations=2)
-        assert result.views
+        warehouse.design(DesignConfig(rotations=1))
+        with pytest.raises(TypeError):
+            REMOVED_SHAPES[shape](workload, estimator, warehouse)
 
-    def test_warehouse_redesign_legacy(self):
-        warehouse = DataWarehouse.from_workload(paper_workload())
-        warehouse.design(DesignConfig(rotations=2))
-        with pytest.warns(DeprecationWarning):
-            plan = warehouse.redesign(rotations=2)
-        assert plan.is_noop
+    def test_operator_shim_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.executor.iterators")
 
     def test_cli_flags_build_config(self):
         from repro.cli import build_parser, design_config
@@ -193,22 +171,6 @@ class TestLegacyCallShapes:
 
 
 class TestPositionalBoolShims:
-    def test_explain_positional_bool_warns(self):
-        warehouse = DataWarehouse.from_workload(paper_workload())
-        warehouse.design(DesignConfig(rotations=1))
-        with pytest.warns(DeprecationWarning, match="explain"):
-            with_views = warehouse.explain("Q1", True)
-        assert with_views == warehouse.explain("Q1", use_views=True)
-
-    def test_profile_positional_bool_warns(self):
-        warehouse = DataWarehouse.from_workload(paper_workload())
-        warehouse.design(DesignConfig(rotations=1))
-        with pytest.warns(DeprecationWarning, match="profile"):
-            try:
-                warehouse.profile("Q1", False)
-            except Exception:
-                pass  # no data loaded; only the shim warning is under test
-
     def test_execute_rejects_excess_positionals(self):
         warehouse = DataWarehouse.from_workload(paper_workload())
         with pytest.raises(TypeError):

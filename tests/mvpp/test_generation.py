@@ -4,6 +4,7 @@ import pytest
 
 from repro.algebra.expressions import Or
 from repro.algebra.operators import Relation, Select
+from repro.mvpp.config import DesignConfig
 from repro.mvpp.generation import build_mvpp, design, generate_mvpps, prepare_queries
 from repro.mvpp.cost import MVPPCostCalculator
 
@@ -112,7 +113,7 @@ class TestPushDown:
 
 class TestDesign:
     def test_design_picks_minimum(self, workload, estimator):
-        result = design(workload, estimator)
+        result = design(workload, estimator=estimator)
         from repro.mvpp.materialization import select_views
 
         for mvpp in result.candidates:
@@ -121,7 +122,7 @@ class TestDesign:
             assert result.total_cost <= calc.breakdown(chosen.materialized).total + 1e-6
 
     def test_design_result_fields(self, workload, estimator):
-        result = design(workload, estimator)
+        result = design(workload, estimator=estimator)
         assert result.materialized_names
         assert result.breakdown.total > 0
         assert result.mvpp in result.candidates
@@ -141,8 +142,8 @@ class TestIncludeNaive:
         from repro.mvpp.cost import MVPPCostCalculator
         from repro.mvpp.materialization import select_views
 
-        combined = design(workload, estimator, include_naive=True)
-        merged_only = design(workload, estimator, include_naive=False)
+        combined = design(workload, DesignConfig(include_naive=True), estimator=estimator)
+        merged_only = design(workload, estimator=estimator)
         naive = build_from_workload(workload, estimator)
         calc = MVPPCostCalculator(naive)
         naive_chosen = select_views(naive, calc, refine=True)
@@ -152,6 +153,6 @@ class TestIncludeNaive:
         ) + 1e-6
 
     def test_candidate_list_grows(self, workload, estimator):
-        combined = design(workload, estimator, include_naive=True)
-        merged_only = design(workload, estimator, include_naive=False)
+        combined = design(workload, DesignConfig(include_naive=True), estimator=estimator)
+        merged_only = design(workload, estimator=estimator)
         assert len(combined.candidates) == len(merged_only.candidates) + 1

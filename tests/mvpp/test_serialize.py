@@ -117,9 +117,10 @@ class TestMVPPRoundTrip:
 
 class TestDesignSerialization:
     def test_design_to_dict(self, workload, estimator):
+        from repro.mvpp.config import DesignConfig
         from repro.mvpp.generation import design
 
-        result = design(workload, estimator, rotations=1)
+        result = design(workload, DesignConfig(rotations=1), estimator=estimator)
         data = design_to_dict(result)
         json.dumps(data)
         assert data["materialized_names"] == list(result.materialized_names)

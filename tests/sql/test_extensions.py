@@ -129,6 +129,7 @@ class TestEndToEnd:
     def test_designable_with_extended_syntax(self, workload):
         """A workload written with JOIN..ON / BETWEEN / IN flows through
         the whole design pipeline."""
+        from repro.mvpp.config import DesignConfig
         from repro.mvpp.generation import design
         from repro.workload.spec import QuerySpec, Workload
 
@@ -154,5 +155,5 @@ class TestEndToEnd:
             statistics=workload.statistics,
             queries=queries,
         )
-        result = design(extended, rotations=1)
+        result = design(extended, DesignConfig(rotations=1))
         assert result.breakdown.total > 0

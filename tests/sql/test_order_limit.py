@@ -92,7 +92,7 @@ class TestOptimizerAndGeneration:
     def test_design_pipeline_with_order_limit(self, workload):
         from dataclasses import replace
 
-        from repro.mvpp import design
+        from repro.mvpp import DesignConfig, design
         from repro.workload.spec import QuerySpec
 
         queries = tuple(
@@ -107,7 +107,7 @@ class TestOptimizerAndGeneration:
                 )
             ]
         )
-        result = design(replace(workload, queries=queries), rotations=1)
+        result = design(replace(workload, queries=queries), DesignConfig(rotations=1))
         result.mvpp.validate()
         q4_plan = result.mvpp.query_root("Q4").operator
         assert isinstance(q4_plan, Limit)

@@ -128,11 +128,11 @@ class TestApplyToWorkload:
         """A log-derived workload flows through the design pipeline, and
         skewed observations steer the design: if only Q4 is ever asked,
         only Q4's lineage is worth materializing."""
-        from repro.mvpp import design
+        from repro.mvpp import DesignConfig, design
 
         workload = paper_workload()
         estimate = FrequencyEstimate({"Q4": 20.0}, {}, 1.0)
         observed = apply_to_workload(workload, estimate)
-        result = design(observed, rotations=1)
+        result = design(observed, DesignConfig(rotations=1))
         for vertex in result.materialized:
             assert vertex.operator.base_relations() <= {"Order", "Customer"}
