@@ -38,16 +38,17 @@ class Expression:
     """Base class for scalar expressions.
 
     Subclasses set ``_children`` and implement :meth:`_compute_signature`
-    and :meth:`evaluate`.  Signatures are computed once and cached — safe
-    because expressions are immutable.
+    and :meth:`evaluate`.  Signatures and column sets are computed once
+    and cached — safe because expressions are immutable.
     """
 
-    __slots__ = ("_children", "_signature", "_hash")
+    __slots__ = ("_children", "_signature", "_hash", "_columns")
 
     def __init__(self, children: Tuple["Expression", ...]):
         self._children = children
         self._signature: Optional[str] = None
         self._hash: Optional[int] = None
+        self._columns: Optional[FrozenSet[str]] = None
 
     @property
     def children(self) -> Tuple["Expression", ...]:
@@ -68,14 +69,11 @@ class Expression:
 
     def columns(self) -> FrozenSet[str]:
         """All column names referenced anywhere in this expression."""
-        out = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ColumnRef):
-                out.add(node.name)
-            stack.extend(node.children)
-        return frozenset(out)
+        if self._columns is None:
+            self._columns = frozenset().union(
+                *(child.columns() for child in self._children)
+            )
+        return self._columns
 
     def substitute(self, mapping: Mapping[str, str]) -> "Expression":
         """A copy with column names replaced per ``mapping`` (identity otherwise)."""
@@ -112,6 +110,11 @@ class ColumnRef(Expression):
 
     def _compute_signature(self) -> str:
         return f"col({self.name})"
+
+    def columns(self) -> FrozenSet[str]:
+        if self._columns is None:
+            self._columns = frozenset((self.name,))
+        return self._columns
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         if self.name in row:

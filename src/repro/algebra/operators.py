@@ -24,15 +24,20 @@ from repro.errors import AlgebraError
 
 
 class Operator:
-    """Base class for logical operators."""
+    """Base class for logical operators.
 
-    __slots__ = ("_children", "_schema", "_signature", "_hash")
+    The signature and the base-relation set are computed once and
+    cached — safe because operators are immutable.
+    """
+
+    __slots__ = ("_children", "_schema", "_signature", "_hash", "_base_relations")
 
     def __init__(self, children: Tuple["Operator", ...], schema: RelationSchema):
         self._children = children
         self._schema = schema
         self._signature: Optional[str] = None
         self._hash: Optional[int] = None
+        self._base_relations: Optional[FrozenSet[str]] = None
 
     @property
     def children(self) -> Tuple["Operator", ...]:
@@ -66,14 +71,11 @@ class Operator:
 
     def base_relations(self) -> FrozenSet[str]:
         """Names of every base relation in this subtree."""
-        out = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Relation):
-                out.add(node.name)
-            stack.extend(node.children)
-        return frozenset(out)
+        if self._base_relations is None:
+            self._base_relations = frozenset().union(
+                *(child.base_relations() for child in self._children)
+            )
+        return self._base_relations
 
     def walk(self) -> Iterator["Operator"]:
         """Post-order traversal (children before parents)."""
@@ -121,6 +123,11 @@ class Relation(Operator):
 
     def _compute_signature(self) -> str:
         return f"rel({self.name})"
+
+    def base_relations(self) -> FrozenSet[str]:
+        if self._base_relations is None:
+            self._base_relations = frozenset((self.name,))
+        return self._base_relations
 
     @property
     def label(self) -> str:

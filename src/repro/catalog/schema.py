@@ -55,16 +55,18 @@ class RelationSchema:
     def __init__(self, name: str, attributes: Sequence[Attribute]):
         if not name:
             raise CatalogError("relation name must be non-empty")
-        seen = set()
-        for attribute in attributes:
-            if attribute.name in seen:
-                raise CatalogError(
-                    f"duplicate attribute {attribute.name!r} in relation {name!r}"
-                )
-            seen.add(attribute.name)
         self._name = name
         self._attributes: Tuple[Attribute, ...] = tuple(attributes)
         self._by_name: Dict[str, Attribute] = {a.name: a for a in self._attributes}
+        if len(self._by_name) != len(self._attributes):
+            seen = set()
+            for attribute in self._attributes:
+                if attribute.name in seen:
+                    raise CatalogError(
+                        f"duplicate attribute {attribute.name!r} in relation {name!r}"
+                    )
+                seen.add(attribute.name)
+        self._attribute_names: Tuple[str, ...] = tuple(self._by_name)
         # Unqualified lookup index: short name -> attributes carrying it.
         self._by_short: Dict[str, List[Attribute]] = {}
         for attribute in self._attributes:
@@ -80,7 +82,7 @@ class RelationSchema:
 
     @property
     def attribute_names(self) -> Tuple[str, ...]:
-        return tuple(a.name for a in self._attributes)
+        return self._attribute_names
 
     @property
     def arity(self) -> int:

@@ -21,7 +21,7 @@ cheapest design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.algebra import predicates as P
@@ -48,19 +48,107 @@ from repro.sql.translator import parse_query
 from repro.workload.spec import QuerySpec, Workload
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryPlanInfo:
-    """A query with its individually-optimal plan, normalized for merging."""
+    """A query with its individually-optimal plan, normalized for merging.
+
+    Besides the plan, it carries every fact about the query that Figure-4
+    steps 4–6 read and that does not depend on the merge order, so the k
+    rotations share one computation of each (see :meth:`of`).
+    """
 
     spec: QuerySpec
     plan: Operator
     pulled: PulledPlan
     access_cost: float  # Ca of the optimal plan
+    #: Base-relation leaves of the join skeleton, left to right, and their names.
+    leaves: Tuple[Relation, ...]
+    leaf_names: FrozenSet[str]
+    #: Join-condition conjuncts of the skeleton.
+    join_conjuncts: Tuple[Expression, ...]
+    #: Conjunction of the selection conjuncts on a single leaf, by leaf name.
+    leaf_conditions: Mapping[str, Expression]
+    #: Selection conjuncts spanning leaves: only re-applied above the joins.
+    residual_conjuncts: Tuple[Expression, ...]
+    #: Attributes of each leaf the query needs anywhere above it.
+    needed_from_leaf: Mapping[str, FrozenSet[str]]
+
+    @classmethod
+    def of(
+        cls, spec: QuerySpec, plan: Operator, access_cost: float
+    ) -> "QueryPlanInfo":
+        """Pull ``plan`` up and compute the merge-order-invariant facts."""
+        pulled = pull_up(plan)
+        leaves = tuple(tree_leaves(pulled.skeleton))
+        join_conjuncts = tuple(skeleton_join_conjuncts(pulled.skeleton))
+        per_leaf, residual_only = _leaf_conjuncts(pulled, leaves)
+        needed = _needed_attributes(pulled, join_conjuncts)
+        return cls(
+            spec=spec,
+            plan=plan,
+            pulled=pulled,
+            access_cost=access_cost,
+            leaves=leaves,
+            leaf_names=pulled.skeleton.base_relations(),
+            join_conjuncts=join_conjuncts,
+            leaf_conditions={
+                name: P.conjunction(conjs) for name, conjs in per_leaf.items()
+            },
+            residual_conjuncts=tuple(residual_only),
+            needed_from_leaf={
+                leaf.name: needed & frozenset(leaf.schema.attribute_names)
+                for leaf in leaves
+            },
+        )
 
     @property
     def rank(self) -> float:
         """The paper's ordering key ``fq(op) · Ca(op)``."""
         return self.spec.frequency * self.access_cost
+
+
+def _leaf_conjuncts(
+    pulled: PulledPlan, leaves: Sequence[Relation]
+) -> Tuple[Dict[str, List[Expression]], List[Expression]]:
+    """Split a query's selection conjuncts per leaf; rest are residual-only."""
+    per_leaf: Dict[str, List[Expression]] = {}
+    residual_only: List[Expression] = []
+    leaf_columns = {leaf.name: set(leaf.schema.attribute_names) for leaf in leaves}
+    for conjunct in P.conjuncts(pulled.selection):
+        owner = next(
+            (
+                name
+                for name, columns in leaf_columns.items()
+                if conjunct.columns() <= columns
+            ),
+            None,
+        )
+        if owner is None:
+            residual_only.append(conjunct)
+        else:
+            per_leaf.setdefault(owner, []).append(conjunct)
+    return per_leaf, residual_only
+
+
+def _needed_attributes(
+    pulled: PulledPlan, join_conjuncts: Sequence[Expression]
+) -> FrozenSet[str]:
+    """Attributes a query needs anywhere above its leaves."""
+    needed: Set[str] = set()
+    if pulled.aggregate is not None:
+        needed |= set(pulled.aggregate.group_by)
+        needed |= {
+            s.attribute
+            for s in pulled.aggregate.aggregates
+            if s.attribute is not None
+        }
+    else:
+        needed |= set(pulled.projection)
+    if pulled.selection is not None:
+        needed |= pulled.selection.columns()
+    for predicate in join_conjuncts:
+        needed |= predicate.columns()
+    return frozenset(needed)
 
 
 def prepare_queries(
@@ -78,14 +166,7 @@ def prepare_queries(
                 plan = optimize_query(raw, estimator, cost_model)
                 annotated = AnnotatedPlan(plan, estimator, cost_model)
                 span.set(access_cost=annotated.total_cost)
-                infos.append(
-                    QueryPlanInfo(
-                        spec=spec,
-                        plan=plan,
-                        pulled=pull_up(plan),
-                        access_cost=annotated.total_cost,
-                    )
-                )
+                infos.append(QueryPlanInfo.of(spec, plan, annotated.total_cost))
     return infos
 
 
@@ -108,15 +189,16 @@ def build_mvpp(
     with obs.span(
         "generation.merge", mvpp=name, queries=len(ordered_infos)
     ) as span:
-        merged = merge_skeletons(
-            [(info.spec.name, info.pulled.skeleton) for info in ordered_infos]
-        )
+        merged = merge_skeletons(ordered_infos)
 
         plans: Dict[str, Operator] = {}
         if push_down:
-            stems = _leaf_stems(ordered_infos, merged)
+            stems, conditions = _leaf_stems(ordered_infos, merged)
+            memo: Dict[int, Operator] = {}  # stems are fixed for this rotation
             for info in ordered_infos:
-                plans[info.spec.name] = _assemble_pushed(info, merged, stems)
+                plans[info.spec.name] = _assemble_pushed(
+                    info, merged, stems, conditions, memo
+                )
         else:
             for info in ordered_infos:
                 body = select_if(merged[info.spec.name], info.pulled.selection)
@@ -151,7 +233,7 @@ def generate_mvpps(
     estimator: Optional[CardinalityEstimator] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     rotations: Optional[int] = None,
-    push_down: bool = True,
+    push_down: Optional[bool] = None,
     config: Optional[DesignConfig] = None,
 ) -> List[MVPP]:
     """The full Figure-4 algorithm: one MVPP per rotation of the plan list.
@@ -160,11 +242,14 @@ def generate_mvpps(
     the explicit keyword arguments were given) and its
     ``workers``/``executor`` fan the per-rotation merges out in
     parallel.  The candidate list is identical for every backend: tasks
-    are dispatched and collected in rotation order.
+    are dispatched and collected in rotation order.  Without either,
+    ``push_down`` defaults to True (the Figure-8 form).
     """
     if config is not None:
         rotations = rotations if rotations is not None else config.rotations
-        push_down = push_down and config.push_down
+        push_down = push_down if push_down is not None else config.push_down
+    if push_down is None:
+        push_down = True
     executor = (
         resolve_executor(config.executor, config.workers)
         if config is not None
@@ -198,79 +283,34 @@ def generate_mvpps(
 # ---------------------------------------------------------------------------
 # steps 5/6: leaf-level push-down
 # ---------------------------------------------------------------------------
-def _leaf_conjuncts(
-    info: QueryPlanInfo,
-) -> Tuple[Dict[str, List[Expression]], List[Expression]]:
-    """Split a query's selection conjuncts per leaf; rest are residual-only."""
-    per_leaf: Dict[str, List[Expression]] = {}
-    residual_only: List[Expression] = []
-    leaf_columns = {
-        leaf.name: set(leaf.schema.attribute_names)
-        for leaf in tree_leaves(info.pulled.skeleton)
-    }
-    for conjunct in P.conjuncts(info.pulled.selection):
-        owner = next(
-            (
-                name
-                for name, columns in leaf_columns.items()
-                if conjunct.columns() <= columns
-            ),
-            None,
-        )
-        if owner is None:
-            residual_only.append(conjunct)
-        else:
-            per_leaf.setdefault(owner, []).append(conjunct)
-    return per_leaf, residual_only
-
-
-def _needed_from_leaf(info: QueryPlanInfo, leaf: Relation) -> Set[str]:
-    """Attributes of ``leaf`` this query needs anywhere above it."""
-    needed: Set[str] = set()
-    leaf_columns = set(leaf.schema.attribute_names)
-    if info.pulled.aggregate is not None:
-        needed |= set(info.pulled.aggregate.group_by)
-        needed |= {
-            s.attribute
-            for s in info.pulled.aggregate.aggregates
-            if s.attribute is not None
-        }
-    else:
-        needed |= set(info.pulled.projection)
-    if info.pulled.selection is not None:
-        needed |= info.pulled.selection.columns()
-    for predicate in skeleton_join_conjuncts(info.pulled.skeleton):
-        needed |= predicate.columns()
-    return needed & leaf_columns
-
-
 def _leaf_stems(
     infos: Sequence[QueryPlanInfo], merged: Dict[str, Operator]
-) -> Dict[str, Operator]:
+) -> Tuple[Dict[str, Operator], Dict[str, Optional[Expression]]]:
     """Figure 4 steps 5/6: the σ/π stem placed over each base relation.
 
     Selection: the disjunction over sharing queries of each query's
     conjunction of conditions on that relation (TRUE when any sharing
     query filters nothing).  Projection: the union of attributes any
-    sharing query needs, plus join attributes (collected inside
-    :func:`_needed_from_leaf`).
+    sharing query needs, plus join attributes (both precomputed on
+    :class:`QueryPlanInfo`).  Returns the stems and their selection
+    conditions (None for TRUE), by leaf name.
     """
     leaf_nodes: Dict[str, Relation] = {}
-    for skeleton in merged.values():
-        for leaf in tree_leaves(skeleton):
+    for info in infos:
+        for leaf in info.leaves:
             leaf_nodes[leaf.name] = leaf
+    sharing = [(info, merged[info.spec.name].base_relations()) for info in infos]
 
     stems: Dict[str, Operator] = {}
+    conditions: Dict[str, Optional[Expression]] = {}
     for leaf_name, leaf in leaf_nodes.items():
         terms: List[Optional[Expression]] = []
         union_attrs: Set[str] = set()
-        for info in infos:
-            if leaf_name not in {l.name for l in tree_leaves(merged[info.spec.name])}:
+        for info, leaf_names in sharing:
+            if leaf_name not in leaf_names:
                 continue
-            per_leaf, _ = _leaf_conjuncts(info)
-            mine = per_leaf.get(leaf_name, [])
-            terms.append(P.conjunction(mine) if mine else None)
-            union_attrs |= _needed_from_leaf(info, leaf)
+            terms.append(info.leaf_conditions.get(leaf_name))
+            union_attrs |= info.needed_from_leaf[leaf_name]
         condition = P.disjunction(terms) if terms else None
         stem: Operator = select_if(leaf, condition)
         if union_attrs:
@@ -279,21 +319,24 @@ def _leaf_stems(
             ]
             stem = project_if(stem, ordered)
         stems[leaf_name] = stem
-    return stems
+        conditions[leaf_name] = condition
+    return stems, conditions
 
 
 def _assemble_pushed(
-    info: QueryPlanInfo, merged: Dict[str, Operator], stems: Dict[str, Operator]
+    info: QueryPlanInfo,
+    merged: Dict[str, Operator],
+    stems: Dict[str, Operator],
+    conditions: Dict[str, Optional[Expression]],
+    memo: Dict[int, Operator],
 ) -> Operator:
     """Rebuild one query over the stemmed leaves and re-apply residuals."""
-    skeleton = _replace_leaves(merged[info.spec.name], stems, {})
+    skeleton = _replace_leaves(merged[info.spec.name], stems, memo)
 
-    per_leaf, residual_only = _leaf_conjuncts(info)
-    residuals: List[Expression] = list(residual_only)
-    for leaf_name, conjs in per_leaf.items():
-        stem = stems[leaf_name]
-        pushed = _stem_condition(stem)
-        for conjunct in conjs:
+    residuals: List[Expression] = list(info.residual_conjuncts)
+    for leaf_name, condition in info.leaf_conditions.items():
+        pushed = conditions[leaf_name]
+        for conjunct in P.conjuncts(condition):
             if not P.implies(pushed, conjunct):
                 residuals.append(conjunct)
 
@@ -304,9 +347,17 @@ def _assemble_pushed(
 
 
 def _replace_leaves(
-    node: Operator, stems: Dict[str, Operator], memo: Dict[str, Operator]
+    node: Operator, stems: Dict[str, Operator], memo: Dict[int, Operator]
 ) -> Operator:
-    cached = memo.get(node.signature)
+    """``node`` with every leaf replaced by its stem.
+
+    ``memo`` is keyed by node identity, not signature: merged skeletons
+    share subtrees as identical objects, so one rotation's queries rebuild
+    each shared subtree once, while a commuted join (equal signature,
+    other column order) is never swapped in.  The merged skeletons keep
+    every keyed node alive while the memo lives.
+    """
+    cached = memo.get(id(node))
     if cached is not None:
         return cached
     if isinstance(node, Relation):
@@ -315,18 +366,8 @@ def _replace_leaves(
         out = node.with_children(
             tuple(_replace_leaves(child, stems, memo) for child in node.children)
         )
-    memo[node.signature] = out
+    memo[id(node)] = out
     return out
-
-
-def _stem_condition(stem: Operator) -> Optional[Expression]:
-    """The selection condition a stem applies (if any)."""
-    from repro.algebra.operators import Select
-
-    for node in stem.walk():
-        if isinstance(node, Select):
-            return node.predicate
-    return None
 
 
 # ---------------------------------------------------------------------------

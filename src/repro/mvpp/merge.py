@@ -19,14 +19,17 @@ different conditions would change the query's meaning.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Set
 
 from repro import obs
 from repro.algebra import predicates as P
 from repro.algebra.expressions import Expression
-from repro.algebra.operators import Join, Operator, Relation
+from repro.algebra.operators import Join, Operator
 from repro.algebra.tree import leaves as tree_leaves
 from repro.errors import MVPPError
+
+if TYPE_CHECKING:
+    from repro.mvpp.generation import QueryPlanInfo
 
 
 def skeleton_join_conjuncts(skeleton: Operator) -> List[Expression]:
@@ -53,7 +56,7 @@ class SkeletonPool:
                 self._nodes.append(node)
 
     def reusable_pieces(
-        self, leaf_names: Set[str], predicates: Sequence[Expression]
+        self, leaf_names: AbstractSet[str], predicates: Sequence[Expression]
     ) -> List[Operator]:
         """Greedy maximal cover of ``leaf_names`` by existing join nodes.
 
@@ -67,7 +70,7 @@ class SkeletonPool:
         for position, node in enumerate(self._nodes):
             if not isinstance(node, Join):
                 continue
-            node_leaves = {leaf.name for leaf in tree_leaves(node)}
+            node_leaves = node.base_relations()
             if not node_leaves <= leaf_names:
                 continue
             if not self._conditions_match(node, predicates, predicate_signatures):
@@ -103,35 +106,32 @@ class SkeletonPool:
         return within == node_signatures
 
 
-def merge_skeletons(
-    ordered: Sequence[Tuple[str, Operator]],
-) -> Dict[str, Operator]:
+def merge_skeletons(ordered: Sequence["QueryPlanInfo"]) -> Dict[str, Operator]:
     """Merge query skeletons in the given order (Figure 4 steps 4.1–4.3).
 
-    ``ordered`` holds ``(query name, join skeleton)`` pairs, most
-    expensive plan first (the caller applies the ``fq · Ca`` ordering and
-    the rotation).  Returns each query's merged skeleton; shared structure
-    is shared as identical subtree objects, so interning the results into
-    an :class:`~repro.mvpp.graph.MVPP` produces the shared DAG.
+    ``ordered`` holds the queries' :class:`~repro.mvpp.generation.QueryPlanInfo`,
+    most expensive plan first (the caller applies the ``fq · Ca``
+    ordering and the rotation).  Returns each query's merged skeleton by
+    query name; shared structure is shared as identical subtree objects,
+    so interning the results into an :class:`~repro.mvpp.graph.MVPP`
+    produces the shared DAG.
     """
     pool = SkeletonPool()
     merged: Dict[str, Operator] = {}
-    for index, (name, skeleton) in enumerate(ordered):
+    for index, info in enumerate(ordered):
         if index == 0:
-            result = skeleton  # step 4.1/4.2: the seed keeps its join order
+            # step 4.1/4.2: the seed keeps its join order
+            result = info.pulled.skeleton
         else:
-            result = _merge_one(skeleton, pool)
-        merged[name] = result
+            result = _merge_one(info, pool)
+        merged[info.spec.name] = result
         pool.add_tree(result)
     return merged
 
 
-def _merge_one(skeleton: Operator, pool: SkeletonPool) -> Operator:
-    plan_leaves = tree_leaves(skeleton)
-    leaf_names = {leaf.name for leaf in plan_leaves}
-    predicates = skeleton_join_conjuncts(skeleton)
-
-    pieces = pool.reusable_pieces(leaf_names, predicates)
+def _merge_one(info: "QueryPlanInfo", pool: SkeletonPool) -> Operator:
+    predicates = info.join_conjuncts
+    pieces = pool.reusable_pieces(info.leaf_names, predicates)
     if obs.enabled():
         registry = obs.metrics()
         registry.counter("generation.reuse_hits").inc(len(pieces))
@@ -140,14 +140,14 @@ def _merge_one(skeleton: Operator, pool: SkeletonPool) -> Operator:
         )
         if not pieces:
             registry.counter("generation.reuse_misses").inc()
-    covered = {leaf.name for piece in pieces for leaf in tree_leaves(piece)}
-    for leaf in plan_leaves:
+    covered: Set[str] = set().union(*(piece.base_relations() for piece in pieces))
+    for leaf in info.leaves:
         if leaf.name not in covered:
             pieces.append(leaf)
 
     if len(pieces) == 1:
         return pieces[0]
-    return _join_pieces(pieces, predicates, first_leaf=plan_leaves[0].name)
+    return _join_pieces(pieces, predicates, first_leaf=info.leaves[0].name)
 
 
 def _join_pieces(
@@ -158,11 +158,7 @@ def _join_pieces(
     pending = list(predicates)
 
     start = next(
-        (
-            p
-            for p in remaining
-            if first_leaf in {leaf.name for leaf in tree_leaves(p)}
-        ),
+        (p for p in remaining if first_leaf in p.base_relations()),
         remaining[0],
     )
     remaining.remove(start)

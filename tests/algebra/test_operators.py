@@ -250,3 +250,72 @@ class TestSortLimit:
                     compare("Product.Did", "=", column("Division.Did")))
         with pytest.raises(AlgebraError):
             pull_up(plan)
+
+
+class TestCachedProperties:
+    """``base_relations()`` and ``Expression.columns()`` are cached on the
+    immutable nodes; the cached values must equal a fresh walk."""
+
+    @staticmethod
+    def walked_relations(operator):
+        return frozenset(
+            n.name for n in operator.walk() if isinstance(n, Relation)
+        )
+
+    @staticmethod
+    def walked_columns(expression):
+        from repro.algebra.expressions import ColumnRef
+
+        out, stack = set(), [expression]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ColumnRef):
+                out.add(node.name)
+            stack.extend(node.children)
+        return frozenset(out)
+
+    def expressions_of(self, operator):
+        for node in operator.walk():
+            for predicate in (
+                getattr(node, "predicate", None),
+                getattr(node, "condition", None),
+            ):
+                stack = [predicate] if predicate is not None else []
+                while stack:
+                    expression = stack.pop()
+                    yield expression
+                    stack.extend(expression.children)
+
+    def test_paper_plans_match_a_fresh_walk(self, workload, paper_mvpps):
+        from repro.mvpp.generation import prepare_queries
+
+        roots = [info.plan for info in prepare_queries(workload)]
+        roots += [info.pulled.skeleton for info in prepare_queries(workload)]
+        roots += [v.operator for mvpp in paper_mvpps for v in mvpp]
+        checked = 0
+        for root in roots:
+            for node in root.walk():
+                for _ in range(2):  # computed, then served from the cache
+                    assert node.base_relations() == self.walked_relations(node)
+                checked += 1
+            for expression in self.expressions_of(root):
+                for _ in range(2):
+                    assert expression.columns() == self.walked_columns(expression)
+        assert checked > 100
+
+    def test_with_children_computes_its_own_relations(self, product, division):
+        selection = Select(product, compare("Product.Did", "=", 3))
+        assert selection.base_relations() == frozenset({"Product"})
+        joined = Join(
+            product, division, compare("Product.Did", "=", column("Division.Did"))
+        )
+        rebuilt = selection.with_children((joined,))
+        assert rebuilt.base_relations() == frozenset({"Product", "Division"})
+        assert selection.base_relations() == frozenset({"Product"})
+
+    def test_substitute_computes_its_own_columns(self):
+        predicate = compare("Product.Did", "=", column("Division.Did"))
+        assert predicate.columns() == frozenset({"Product.Did", "Division.Did"})
+        renamed = predicate.substitute({"Division.Did": "Order.Did"})
+        assert renamed.columns() == frozenset({"Product.Did", "Order.Did"})
+        assert predicate.columns() == frozenset({"Product.Did", "Division.Did"})

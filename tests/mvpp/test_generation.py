@@ -1,5 +1,7 @@
 """Unit tests for multiple-MVPP generation (Figure 4) and push-down."""
 
+import hashlib
+
 import pytest
 
 from repro.algebra.expressions import Or
@@ -7,6 +9,7 @@ from repro.algebra.operators import Relation, Select
 from repro.mvpp.config import DesignConfig
 from repro.mvpp.generation import build_mvpp, design, generate_mvpps, prepare_queries
 from repro.mvpp.cost import MVPPCostCalculator
+from repro.workload.star_schema import StarConfig, star_workload
 
 
 class TestPrepareQueries:
@@ -19,6 +22,26 @@ class TestPrepareQueries:
             assert info.rank == pytest.approx(
                 info.spec.frequency * info.access_cost
             )
+
+    def test_invariants_describe_the_skeleton(self, workload, estimator):
+        from repro.algebra import predicates as P
+        from repro.mvpp.merge import skeleton_join_conjuncts
+
+        for info in prepare_queries(workload, estimator):
+            skeleton = info.pulled.skeleton
+            assert info.leaf_names == skeleton.base_relations()
+            assert {leaf.name for leaf in info.leaves} == info.leaf_names
+            assert info.join_conjuncts == tuple(skeleton_join_conjuncts(skeleton))
+            split = [
+                c for cond in info.leaf_conditions.values() for c in P.conjuncts(cond)
+            ] + list(info.residual_conjuncts)
+            assert {c.signature for c in split} == {
+                c.signature for c in P.conjuncts(info.pulled.selection)
+            }
+            for leaf in info.leaves:
+                assert info.needed_from_leaf[leaf.name] <= set(
+                    leaf.schema.attribute_names
+                )
 
 
 class TestGenerateMVPPs:
@@ -40,6 +63,41 @@ class TestGenerateMVPPs:
     def test_rotations_differ_structurally(self, paper_mvpps):
         signatures = {m.structure_signature() for m in paper_mvpps}
         assert len(signatures) >= 2  # the paper: (a)/(b) equal, (c) differs
+
+
+class TestKeywordPrecedence:
+    """Explicit ``generate_mvpps`` keywords override ``config``."""
+
+    @pytest.fixture(scope="class")
+    def forms(self, fig7_workload):
+        figure8 = generate_mvpps(fig7_workload, rotations=1, push_down=True)[0]
+        figure7 = generate_mvpps(fig7_workload, rotations=1, push_down=False)[0]
+        assert figure8.structure_signature() != figure7.structure_signature()
+        return figure7.structure_signature(), figure8.structure_signature()
+
+    def test_explicit_push_down_true_beats_config(self, fig7_workload, forms):
+        mvpp = generate_mvpps(
+            fig7_workload,
+            rotations=1,
+            push_down=True,
+            config=DesignConfig(push_down=False),
+        )[0]
+        assert mvpp.structure_signature() == forms[1]
+
+    def test_explicit_push_down_false_beats_config(self, fig7_workload, forms):
+        mvpp = generate_mvpps(
+            fig7_workload,
+            rotations=1,
+            push_down=False,
+            config=DesignConfig(push_down=True),
+        )[0]
+        assert mvpp.structure_signature() == forms[0]
+
+    def test_config_push_down_applies_without_keyword(self, fig7_workload, forms):
+        mvpp = generate_mvpps(
+            fig7_workload, rotations=1, config=DesignConfig(push_down=False)
+        )[0]
+        assert mvpp.structure_signature() == forms[0]
 
 
 class TestPushDown:
@@ -156,3 +214,49 @@ class TestIncludeNaive:
         combined = design(workload, DesignConfig(include_naive=True), estimator=estimator)
         merged_only = design(workload, estimator=estimator)
         assert len(combined.candidates) == len(merged_only.candidates) + 1
+
+
+class TestRotationInvariantWork:
+    def test_selection_split_once_per_query(self, monkeypatch):
+        """Regression: splitting a query's selection per leaf does not
+        depend on the merge order, so one design() of k queries splits k
+        times, not once per rotation, query and leaf."""
+        from repro.mvpp import generation
+
+        workload = star_workload(
+            StarConfig(num_queries=8, include_aggregates=True, seed=0)
+        )
+        calls = []
+        split = generation._leaf_conjuncts
+
+        def counting(*args):
+            calls.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(generation, "_leaf_conjuncts", counting)
+        result = design(workload)
+
+        assert len(result.candidates) == 8
+        assert len(calls) == 8
+
+
+class TestDesignOutcomePinned:
+    """The k=32 star designs the benchmark's ``design`` workload runs.
+
+    Digested like ``perfbench/workloads.py:design_digest``: a speed-up of
+    generation or selection must leave every chosen view and the exact
+    total cost unchanged.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [(0, "551d3581bc89aadf"), (1, "34653e011307a36f"), (2, "7c1ed5462a55de5c")],
+    )
+    def test_star32_design_digest(self, seed, expected):
+        workload = star_workload(
+            StarConfig(num_queries=32, include_aggregates=True, seed=seed)
+        )
+        result = design(workload)
+        signatures = sorted(str(v.operator.signature) for v in result.materialized)
+        payload = "\n".join(signatures) + f"\n{result.total_cost!r}"
+        assert hashlib.sha256(payload.encode()).hexdigest()[:16] == expected

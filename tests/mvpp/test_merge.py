@@ -14,8 +14,12 @@ from repro.mvpp.merge import (
 
 
 @pytest.fixture(scope="module")
-def skeletons(workload, estimator):
-    infos = sorted(prepare_queries(workload, estimator), key=lambda i: -i.rank)
+def infos(workload, estimator):
+    return sorted(prepare_queries(workload, estimator), key=lambda i: -i.rank)
+
+
+@pytest.fixture(scope="module")
+def skeletons(infos):
     return {info.spec.name: info.pulled.skeleton for info in infos}, [
         info.spec.name for info in infos
     ]
@@ -34,17 +38,17 @@ class TestMergeOrder:
         # fq*Ca ranking: Q4 (5 × ~6m) dominates, as in the paper.
         assert order[0] == "Q4"
 
-    def test_seed_skeleton_unchanged(self, skeletons):
+    def test_seed_skeleton_unchanged(self, skeletons, infos):
         by_name, order = skeletons
-        merged = merge_skeletons([(n, by_name[n]) for n in order])
+        merged = merge_skeletons(infos)
         assert merged[order[0]].signature == by_name[order[0]].signature
 
 
 class TestSharing:
-    def test_q3_reuses_q4_join_pattern(self, skeletons):
+    def test_q3_reuses_q4_join_pattern(self, skeletons, infos):
         """After Q4 is merged, Q3 must reuse the Order⋈Customer node."""
         by_name, order = skeletons
-        merged = merge_skeletons([(n, by_name[n]) for n in order])
+        merged = merge_skeletons(infos)
         q4_joins = {
             node.signature
             for node in merged["Q4"].walk()
@@ -57,21 +61,21 @@ class TestSharing:
         }
         assert q4_joins & q3_joins, "Q3 and Q4 share no join vertex"
 
-    def test_q1_reuses_q2_product_division(self, skeletons):
+    def test_q1_reuses_q2_product_division(self, skeletons, infos):
         by_name, order = skeletons
-        merged = merge_skeletons([(n, by_name[n]) for n in order])
+        merged = merge_skeletons(infos)
         q2_signatures = set(subtree_signatures(merged["Q2"]))
         assert merged["Q1"].signature in q2_signatures
 
-    def test_merged_plans_cover_original_relations(self, skeletons):
+    def test_merged_plans_cover_original_relations(self, skeletons, infos):
         by_name, order = skeletons
-        merged = merge_skeletons([(n, by_name[n]) for n in order])
+        merged = merge_skeletons(infos)
         for name, skeleton in by_name.items():
             assert merged[name].base_relations() == skeleton.base_relations()
 
-    def test_merged_plans_keep_all_join_predicates(self, skeletons):
+    def test_merged_plans_keep_all_join_predicates(self, skeletons, infos):
         by_name, order = skeletons
-        merged = merge_skeletons([(n, by_name[n]) for n in order])
+        merged = merge_skeletons(infos)
         for name, skeleton in by_name.items():
             original = {p.signature for p in skeleton_join_conjuncts(skeleton)}
             rebuilt = {p.signature for p in skeleton_join_conjuncts(merged[name])}
