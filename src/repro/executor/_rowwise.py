@@ -89,7 +89,8 @@ def _hash_join(
     """In-memory hash join: one pass over each input.
 
     ``equi_pairs`` holds (outer column, inner column) join keys; any
-    ``residual`` predicate is applied to surviving pairs.
+    ``residual`` predicate is applied to surviving pairs.  Rows with a
+    NULL join key never match.
     """
     if not equi_pairs:
         raise ExecutionError("hash join requires at least one equi-join pair")
@@ -102,7 +103,8 @@ def _hash_join(
     buckets: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
     for row in inner.scan(count_io=True):
         key = tuple(row[k] for k in inner_keys)
-        buckets.setdefault(key, []).append(row)
+        if None not in key:
+            buckets.setdefault(key, []).append(row)
     for row in outer.scan(count_io=True):
         key = tuple(row[k] for k in outer_keys)
         for match in buckets.get(key, ()):

@@ -64,7 +64,8 @@ def index_nested_loop_join(
 
     Reads ``B(outer)`` blocks plus, per outer row, the index probe and
     the matching inner blocks — the access pattern that makes indexed
-    materialized views profitable even for selective probes.
+    materialized views profitable even for selective probes.  An outer
+    row with a NULL key matches nothing, so it is not probed.
     """
     outer_key, inner_key = equi_pair
     inner = index.table
@@ -76,7 +77,10 @@ def index_nested_loop_join(
     out = Table(schema, _joined_blocking_factor(outer, inner), io=outer.io)
     resolved_outer = outer.schema.attribute(outer_key).name
     for row in outer.scan(count_io=True):
-        for match in index.lookup(row[resolved_outer]):
+        key = row[resolved_outer]
+        if key is None:
+            continue
+        for match in index.lookup(key):
             merged = {**row, **match}
             if residual is None or residual.evaluate(merged):
                 out.insert(merged)

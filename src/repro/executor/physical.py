@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -360,7 +361,8 @@ class Projection(PhysicalOperator):
             if key not in seen:
                 seen.add(key)
                 keep.append(position)
-        return [[col[i] for i in keep] for col in picked], len(keep)
+        take = _taker(keep, length)
+        return [take(col) for col in picked], len(keep)
 
     @property
     def label(self) -> str:
@@ -394,14 +396,106 @@ def _merged_mapping(out_schema, left_names, right_names):
     return mapping
 
 
+def _taker(positions: List[int], length: int):
+    """A function reading ``positions`` out of a column of ``length``.
+
+    Columns are never mutated in place, so reading every position in
+    order shares the column itself.  Otherwise one ``itemgetter`` is
+    built per position list and applied to each column.
+    """
+    count = len(positions)
+    if count == length and positions == list(range(length)):
+        return lambda col: col
+    if count > 1:
+        getter = itemgetter(*positions)
+        return lambda col: list(getter(col))
+    return lambda col: [col[p] for p in positions]
+
+
 def _gather(mapping, outer_columns, inner_columns, outer_pos, inner_pos):
     """Build output columns from matched (outer, inner) position lists."""
-    out = []
-    for side, index in mapping:
-        source = outer_columns[index] if side == 0 else inner_columns[index]
-        positions = outer_pos if side == 0 else inner_pos
-        out.append([source[p] for p in positions])
-    return out
+    take_outer = _taker(outer_pos, len(outer_columns[0]) if outer_columns else 0)
+    take_inner = _taker(inner_pos, len(inner_columns[0]) if inner_columns else 0)
+    return [
+        take_outer(outer_columns[index]) if side == 0
+        else take_inner(inner_columns[index])
+        for side, index in mapping
+    ]
+
+
+def _hash_groups(keys) -> Dict[Any, List[int]]:
+    """Key -> ascending positions, keys in first-occurrence order."""
+    groups: Dict[Any, List[int]] = {}
+    for position, key in enumerate(keys):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [position]
+        else:
+            group.append(position)
+    return groups
+
+
+def _key_vector(columns, indices) -> Sequence[Any]:
+    """The per-row equi/grouping keys of ``columns[indices]``.
+
+    A single key column is its own key vector: its scalar values hash
+    and compare exactly like the 1-tuples a row-wise key would build.
+    Several key columns become one tuple per row, built by ``zip``.
+    """
+    if len(indices) == 1:
+        return columns[indices[0]]
+    return list(zip(*[columns[k] for k in indices]))
+
+
+def _hash_buckets(keys, width: int) -> Dict[Any, List[int]]:
+    """Key -> ascending positions, NULL-bearing keys dropped.
+
+    A NULL equi-key never satisfies ``=``, so those rows can never
+    match under any join method.
+    """
+    buckets = _hash_groups(keys)
+    if width == 1:
+        buckets.pop(None, None)
+    else:
+        for key in [key for key in buckets if None in key]:
+            del buckets[key]
+    return buckets
+
+
+def _null_free(keys, width: int) -> List[int]:
+    """Positions whose key holds no NULL."""
+    if width == 1:
+        return [i for i, key in enumerate(keys) if key is not None]
+    return [i for i, key in enumerate(keys) if None not in key]
+
+
+def _probe(buckets, keys, outer_pos: List[int], inner_pos: List[int]) -> None:
+    """Append every (outer, inner) match of ``keys`` in outer-major order."""
+    append_outer = outer_pos.append
+    append_inner = inner_pos.append
+    for i, matches in enumerate(map(buckets.get, keys)):
+        if matches is None:
+            continue
+        if len(matches) == 1:
+            append_outer(i)
+            append_inner(matches[0])
+        else:
+            outer_pos.extend([i] * len(matches))
+            inner_pos.extend(matches)
+
+
+def _probe_filtered(buckets, keys, ocols, icols, residual_fn, outer_pos, inner_pos):
+    """:func:`_probe` keeping only the pairs ``residual_fn`` accepts."""
+    outer_rows = list(zip(*ocols))
+    inner_rows = list(zip(*icols))
+    for i, matches in enumerate(map(buckets.get, keys)):
+        if matches is None:
+            continue
+        outer_row = outer_rows[i]
+        for j in matches:
+            if residual_fn(outer_row, inner_rows[j]):
+                outer_pos.append(i)
+                inner_pos.append(j)
 
 
 class _JoinBase(PhysicalOperator):
@@ -534,7 +628,7 @@ class NestedLoopJoin(_JoinBase):
                 outer_pos.extend([i] * i_n)
                 inner_pos.extend(inner_range)
         elif self._accel_pairs:
-            self._probe_buckets(ocols, o_n, icols, i_n, outer_pos, inner_pos)
+            self._probe_buckets(ocols, icols, outer_pos, inner_pos)
         else:
             self._full_loop(ocols, o_n, icols, i_n, outer_pos, inner_pos)
         return (
@@ -542,46 +636,25 @@ class NestedLoopJoin(_JoinBase):
             len(outer_pos),
         )
 
-    def _probe_buckets(self, ocols, o_n, icols, i_n, outer_pos, inner_pos):
-        ikey_cols = [icols[j] for _, j in self._accel_pairs]
-        okey_cols = [ocols[i] for i, _ in self._accel_pairs]
-        buckets: Dict[Tuple[Any, ...], List[int]] = {}
-        for j in range(i_n):
-            key = tuple(col[j] for col in ikey_cols)
-            if any(value is None for value in key):
-                continue
-            buckets.setdefault(key, []).append(j)
+    def _probe_buckets(self, ocols, icols, outer_pos, inner_pos):
+        width = len(self._accel_pairs)
+        buckets = _hash_buckets(
+            _key_vector(icols, [j for _, j in self._accel_pairs]), width
+        )
+        okeys = _key_vector(ocols, [i for i, _ in self._accel_pairs])
         residual_fn = self._residual_fn
         if residual_fn is None:
-            for i in range(o_n):
-                key = tuple(col[i] for col in okey_cols)
-                if any(value is None for value in key):
-                    continue
-                matches = buckets.get(key)
-                if matches:
-                    outer_pos.extend([i] * len(matches))
-                    inner_pos.extend(matches)
-            return
-        inner_rows = list(zip(*icols)) if i_n else []
-        for i in range(o_n):
-            key = tuple(col[i] for col in okey_cols)
-            if any(value is None for value in key):
-                continue
-            matches = buckets.get(key)
-            if not matches:
-                continue
-            outer_row = tuple(col[i] for col in ocols)
-            for j in matches:
-                if residual_fn(outer_row, inner_rows[j]):
-                    outer_pos.append(i)
-                    inner_pos.append(j)
+            _probe(buckets, okeys, outer_pos, inner_pos)
+        else:
+            _probe_filtered(
+                buckets, okeys, ocols, icols, residual_fn, outer_pos, inner_pos
+            )
 
     def _full_loop(self, ocols, o_n, icols, i_n, outer_pos, inner_pos):
         pair_fn = self._pair_fn
         if pair_fn is not None:
-            inner_rows = list(zip(*icols)) if i_n else []
-            for i in range(o_n):
-                outer_row = tuple(col[i] for col in ocols)
+            inner_rows = list(zip(*icols))
+            for i, outer_row in enumerate(zip(*ocols)):
                 for j, inner_row in enumerate(inner_rows):
                     if pair_fn(outer_row, inner_row):
                         outer_pos.append(i)
@@ -605,11 +678,11 @@ class NestedLoopJoin(_JoinBase):
 class HashJoin(_JoinBase):
     """In-memory hash join with build-side reuse across executions.
 
-    NULL keys bucket and match (replicating the row engine's
-    ``hash_join``); the build side (the inner/right input) can be
-    served from the engine's :class:`BuildSideCache`, in which case the
-    recorded I/O of the original build is replayed so accounting stays
-    identical while the subtree's wall-clock cost disappears.
+    NULL keys never match (like every other join method, and SQL);
+    the build side (the inner/right input) can be served from the
+    engine's :class:`BuildSideCache`, in which case the recorded I/O of
+    the original build is replayed so accounting stays identical while
+    the subtree's wall-clock cost disappears.
     """
 
     name = "hash-join"
@@ -688,12 +761,9 @@ class HashJoin(_JoinBase):
             before = ctx.io.snapshot()
             right_prep = _prepare(self.right, ctx)
             icols, i_n = _finish_scan(right_prep, ctx)
-            ikey_cols = [icols[k] for k in self._ikeys]
-            buckets: Dict[Tuple[Any, ...], List[int]] = {}
-            for j in range(i_n):
-                buckets.setdefault(
-                    tuple(col[j] for col in ikey_cols), []
-                ).append(j)
+            buckets = _hash_buckets(
+                _key_vector(icols, self._ikeys), len(self._ikeys)
+            )
             if cache is not None and validity is not None:
                 delta = ctx.io.since(before)
                 cache.store(
@@ -708,31 +778,19 @@ class HashJoin(_JoinBase):
                 )
         ocols, o_n = _finish_scan(left_prep, ctx)
 
-        okey_cols = [ocols[k] for k in self._okeys]
+        okeys = _key_vector(ocols, self._okeys)
         outer_pos: List[int] = []
         inner_pos: List[int] = []
         residual_fn = self._residual_fn
         if self.residual is None:
-            for i in range(o_n):
-                matches = buckets.get(tuple(col[i] for col in okey_cols))
-                if matches:
-                    outer_pos.extend([i] * len(matches))
-                    inner_pos.extend(matches)
+            _probe(buckets, okeys, outer_pos, inner_pos)
         elif residual_fn is not None:
-            inner_rows = list(zip(*icols)) if i_n else []
-            for i in range(o_n):
-                matches = buckets.get(tuple(col[i] for col in okey_cols))
-                if not matches:
-                    continue
-                outer_row = tuple(col[i] for col in ocols)
-                for j in matches:
-                    if residual_fn(outer_row, inner_rows[j]):
-                        outer_pos.append(i)
-                        inner_pos.append(j)
+            _probe_filtered(
+                buckets, okeys, ocols, icols, residual_fn, outer_pos, inner_pos
+            )
         else:
             candidates = []
-            for i in range(o_n):
-                matches = buckets.get(tuple(col[i] for col in okey_cols))
+            for i, matches in enumerate(map(buckets.get, okeys)):
                 if matches:
                     candidates.extend((i, j) for j in matches)
             for i, j in self._pair_truthy_rowwise(
@@ -806,49 +864,29 @@ class MergeJoin(_JoinBase):
         ocols, o_n = _finish_rows(left_prep, ctx)
         icols, i_n = _finish_rows(right_prep, ctx)
 
-        okey_cols = [ocols[k] for k in self._okeys]
-        ikey_cols = [icols[k] for k in self._ikeys]
-
-        def okey(i):
-            return tuple(col[i] for col in okey_cols)
-
-        def ikey(j):
-            return tuple(col[j] for col in ikey_cols)
-
-        left_order = sorted(
-            (
-                i
-                for i in range(o_n)
-                if all(col[i] is not None for col in okey_cols)
-            ),
-            key=okey,
-        )
-        right_order = sorted(
-            (
-                j
-                for j in range(i_n)
-                if all(col[j] is not None for col in ikey_cols)
-            ),
-            key=ikey,
-        )
+        width = len(self._okeys)
+        okeys = _key_vector(ocols, self._okeys)
+        ikeys = _key_vector(icols, self._ikeys)
+        left_order = sorted(_null_free(okeys, width), key=okeys.__getitem__)
+        right_order = sorted(_null_free(ikeys, width), key=ikeys.__getitem__)
+        left_keys = list(map(okeys.__getitem__, left_order))
+        right_keys = list(map(ikeys.__getitem__, right_order))
 
         candidates: List[Tuple[int, int]] = []
         i = j = 0
         while i < len(left_order) and j < len(right_order):
-            left_key = okey(left_order[i])
-            right_key = ikey(right_order[j])
+            left_key = left_keys[i]
+            right_key = right_keys[j]
             if left_key < right_key:
                 i += 1
             elif left_key > right_key:
                 j += 1
             else:
                 run_start = j
-                while (
-                    j < len(right_order) and ikey(right_order[j]) == left_key
-                ):
+                while j < len(right_order) and right_keys[j] == left_key:
                     j += 1
                 run_end = j
-                while i < len(left_order) and okey(left_order[i]) == left_key:
+                while i < len(left_order) and left_keys[i] == left_key:
                     for index in range(run_start, run_end):
                         candidates.append((left_order[i], right_order[index]))
                     i += 1
@@ -861,18 +899,10 @@ class MergeJoin(_JoinBase):
                 outer_pos.append(pair[0])
                 inner_pos.append(pair[1])
         elif residual_fn is not None:
-            inner_rows: Dict[int, Tuple[Any, ...]] = {}
-            outer_rows: Dict[int, Tuple[Any, ...]] = {}
+            outer_rows = list(zip(*ocols))
+            inner_rows = list(zip(*icols))
             for i, j in candidates:
-                outer_row = outer_rows.get(i)
-                if outer_row is None:
-                    outer_row = tuple(col[i] for col in ocols)
-                    outer_rows[i] = outer_row
-                inner_row = inner_rows.get(j)
-                if inner_row is None:
-                    inner_row = tuple(col[j] for col in icols)
-                    inner_rows[j] = inner_row
-                if residual_fn(outer_row, inner_row):
+                if residual_fn(outer_rows[i], inner_rows[j]):
                     outer_pos.append(i)
                     inner_pos.append(j)
         else:
@@ -992,30 +1022,27 @@ class HashAggregate(PhysicalOperator):
     def _compute(self, ctx: ExecutionContext):
         columns, length = _finish_scan(_prepare(self.children[0], ctx), ctx)
         columns_by_name = dict(zip(self.children[0].schema.attribute_names, columns))
-        groups: Dict[Tuple[Any, ...], List[int]] = {}
-        if self._key_indices:
-            key_cols = [columns[i] for i in self._key_indices]
-            for position in range(length):
-                groups.setdefault(
-                    tuple(col[position] for col in key_cols), []
-                ).append(position)
-        elif length:
-            groups[()] = list(range(length))
+        width = len(self._key_indices)
+        if width:
+            groups = _hash_groups(_key_vector(columns, self._key_indices))
         else:
-            groups[()] = []  # global aggregate over an empty input
+            # One global group, even over an empty input.
+            groups = {(): list(range(length))}
 
-        results = []
-        for group_key, positions in groups.items():
-            result = dict(zip(self.group_by, group_key))
-            for spec in self.specs:
-                result[spec.alias] = _evaluate_aggregate(
-                    spec, positions, columns_by_name
-                )
-            results.append(result)
-        out = [
-            [result[target] for result in results] for target in self._targets
-        ]
-        return out, len(results)
+        # Output columns by result name; later names shadow earlier ones
+        # exactly as the row engine's ``{**group keys, **aliases}`` does.
+        by_name: Dict[str, List[Any]] = {}
+        if width == 1:
+            by_name[self.group_by[0]] = list(groups)
+        else:
+            for offset, name in enumerate(self.group_by):
+                by_name[name] = [key[offset] for key in groups]
+        for spec in self.specs:
+            by_name[spec.alias] = [
+                _evaluate_aggregate(spec, positions, columns_by_name)
+                for positions in groups.values()
+            ]
+        return [by_name[target] for target in self._targets], len(groups)
 
     @property
     def label(self) -> str:
@@ -1091,7 +1118,8 @@ class SortOperator(PhysicalOperator):
                 else (False, 0),
                 reverse=not ascending,
             )
-        return [[col[i] for i in order] for col in columns], length
+        take = _taker(order, length)
+        return [take(col) for col in columns], length
 
     @property
     def label(self) -> str:

@@ -40,7 +40,10 @@ class HashIndex:
             self.table.io.read_blocks(
                 1 + block_count(len(positions), self.table.blocking_factor)
             )
-        rows = self.table.rows()
+        table = self.table
+        # A plain table is indexed in place; a fault-injecting proxy
+        # still draws its read fault through ``rows()``.
+        rows = table._rows if type(table) is Table else table.rows()
         return [rows[p] for p in positions]
 
     def __len__(self) -> int:

@@ -5,12 +5,15 @@ reference engine *exactly* — the same rows in the same order and the
 same block-I/O charges — for every operator, every join method, and
 every batch size (including degenerate ``batch_size=1``).  Random
 SPJ(+aggregate/sort/limit/distinct) plans over random tiny tables pin
-the property; the paper's Table-2 workload and the maintenance paths
+the property — single and two-pair equi-joins, a FLOAT key joined to an
+INTEGER one, NULL join keys on both sides, one- and two-attribute
+GROUP BY; the paper's Table-2 workload and the maintenance paths
 (DISTINCT views, self-join fallback) pin the end-to-end story.
 """
 
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,6 +30,7 @@ from repro.algebra.operators import (
     Select,
     Sort,
 )
+from repro.algebra.predicates import conjunction
 from repro.catalog.datatypes import DataType
 from repro.catalog.schema import Attribute, RelationSchema
 from repro.errors import ExecutionError
@@ -66,35 +70,65 @@ SCHEMAS = {
             Attribute("B.id", DataType.INTEGER),
             Attribute("B.a_fk", DataType.INTEGER),
             Attribute("B.w", DataType.INTEGER),
+            Attribute("B.a_fl", DataType.FLOAT),
         ],
     ),
 }
 
+#: Equi-join conditions of the generated plans: one key pair, a FLOAT
+#: key against an INTEGER one (``1 = 1.0``), and two key pairs.
+JOIN_CONDITIONS = (
+    ("B.a_fk", "A.id"),
+    ("B.a_fl", "A.id"),
+    ("B.a_fk", "A.id", "B.w", "A.v"),
+)
+
+
+def _maybe_null(rng, value):
+    return None if rng.random() < 0.15 else value
+
 
 def make_data(seed):
+    """Tiny random tables; NULL keys can appear on both join sides."""
     rng = random.Random(seed)
     n_a, n_b = rng.randint(1, 8), rng.randint(1, 12)
+    a_rows = [
+        {"A.id": i, "A.v": rng.choice([None, *range(5)])} for i in range(n_a)
+    ]
+    if rng.random() < 0.5:
+        a_rows.append({"A.id": None, "A.v": rng.choice([None, *range(5)])})
     rows = {
-        "A": [
-            {"A.id": i, "A.v": rng.choice([None, *range(5)])}
-            for i in range(n_a)
-        ],
+        "A": a_rows,
         "B": [
-            {"B.id": i, "B.a_fk": rng.randrange(n_a), "B.w": rng.randint(0, 5)}
+            {
+                "B.id": i,
+                "B.a_fk": _maybe_null(rng, rng.randrange(n_a)),
+                "B.w": rng.randint(0, 5),
+                "B.a_fl": _maybe_null(rng, float(rng.randrange(n_a))),
+            }
             for i in range(n_b)
         ],
     }
     return rows
 
 
-def make_plan(seed):
+def _join_condition(keys):
+    return conjunction(
+        [
+            compare(inner, "=", column(outer))
+            for inner, outer in zip(keys[::2], keys[1::2])
+        ]
+    )
+
+
+def make_plan(seed, allow_limit=True):
     """A random plan exercising every operator the engines support."""
     rng = random.Random(seed)
     plan = Relation("A", SCHEMAS["A"])
     plan = Join(
         plan,
         Relation("B", SCHEMAS["B"]),
-        compare("B.a_fk", "=", column("A.id")),
+        _join_condition(rng.choice(JOIN_CONDITIONS)),
     )
     if rng.random() < 0.7:
         op = rng.choice([">", "<", "=", "!=", ">=", "<="])
@@ -104,7 +138,7 @@ def make_plan(seed):
     if shape < 0.3:
         plan = Aggregate(
             plan,
-            ["A.v"],
+            rng.choice([["A.v"], ["A.v", "B.w"]]),
             [
                 AggregateSpec(AggregateFunction.COUNT, None, "n"),
                 AggregateSpec(AggregateFunction.SUM, "B.w", "s"),
@@ -116,7 +150,7 @@ def make_plan(seed):
         plan = Project(plan, ["A.v", "B.w"], distinct=rng.random() < 0.5)
     if rng.random() < 0.4:
         plan = Sort(plan, [(plan.schema.attribute_names[0], rng.random() < 0.5)])
-    if rng.random() < 0.3:
+    if allow_limit and rng.random() < 0.3:
         plan = Limit(plan, rng.randint(1, 6))
     return plan
 
@@ -156,6 +190,73 @@ def test_vectorized_matches_reference_rows_and_io(plan_seed, data_seed):
         got_rows, got_io = run(plan, rows, method, VECTORIZED)
         assert got_rows == expected_rows, method
         assert got_io == expected_io, method
+
+
+@SETTINGS
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_every_join_method_returns_the_same_rows(plan_seed, data_seed):
+    """Join methods may order rows differently, never change the bag.
+
+    LIMIT is left out: which rows it keeps depends on the order.
+    """
+    plan = make_plan(plan_seed, allow_limit=False)
+    rows = make_data(data_seed)
+    bags = {
+        (method, mode): Counter(run(plan, rows, method, mode)[0])
+        for method in (NESTED_LOOP, HASH, INDEX_NESTED_LOOP, SORT_MERGE)
+        for mode in ENGINES
+    }
+    expected = bags[(NESTED_LOOP, REFERENCE)]
+    for key, bag in bags.items():
+        assert bag == expected, key
+
+
+class TestNullJoinKeys:
+    """A NULL equi-key never matches, whatever the join method or engine."""
+
+    ROWS = {
+        "A": [{"A.id": None, "A.v": 1}, {"A.id": 1, "A.v": 2}],
+        "B": [
+            {"B.id": 0, "B.a_fk": None, "B.w": 3, "B.a_fl": None},
+            {"B.id": 1, "B.a_fk": 1, "B.w": 4, "B.a_fl": 1.0},
+        ],
+    }
+
+    @pytest.mark.parametrize("keys", JOIN_CONDITIONS[:2])
+    @pytest.mark.parametrize("mode", ENGINES)
+    @pytest.mark.parametrize(
+        "method", (NESTED_LOOP, HASH, INDEX_NESTED_LOOP, SORT_MERGE)
+    )
+    def test_null_keys_drop(self, method, mode, keys):
+        plan = Join(
+            Relation("A", SCHEMAS["A"]),
+            Relation("B", SCHEMAS["B"]),
+            _join_condition(keys),
+        )
+        rows, _ = run(plan, self.ROWS, method, mode)
+        assert rows == [(1, 2, 1, 1, 4, 1.0)]
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_two_pair_keys_with_a_null_drop(self, mode):
+        rows = {
+            "A": [
+                {"A.id": 1, "A.v": None},
+                {"A.id": None, "A.v": 4},
+                {"A.id": 1, "A.v": 4},
+            ],
+            "B": [
+                {"B.id": 0, "B.a_fk": 1, "B.w": 4, "B.a_fl": 1.0},
+                {"B.id": 1, "B.a_fk": None, "B.w": 4, "B.a_fl": None},
+            ],
+        }
+        plan = Join(
+            Relation("A", SCHEMAS["A"]),
+            Relation("B", SCHEMAS["B"]),
+            _join_condition(JOIN_CONDITIONS[2]),
+        )
+        for method in (NESTED_LOOP, HASH, INDEX_NESTED_LOOP, SORT_MERGE):
+            got, _ = run(plan, rows, method, mode)
+            assert got == [(1, 4, 0, 1, 4, 1.0)], method
 
 
 @SETTINGS
@@ -381,7 +482,9 @@ class TestBuildSideCache:
         database = load(rows)
         engine = ExecutionEngine(database, HASH)
         engine.execute(plan)
-        database.table("B").insert({"B.id": 99, "B.a_fk": 0, "B.w": 1})
+        database.table("B").insert(
+            {"B.id": 99, "B.a_fk": 0, "B.w": 1, "B.a_fl": 0.0}
+        )
         result = engine.execute(plan)  # validity check misses, rebuilds
         assert engine.build_cache.hits == 0
         assert any(row["B.id"] == 99 for row in result.rows())

@@ -39,6 +39,35 @@ class TestHashIndex:
     def test_len(self, table):
         assert len(HashIndex(table, "id")) == 50
 
+    def test_probe_on_plain_table_does_not_copy_rows(self, table, monkeypatch):
+        index = HashIndex(table, "v")
+
+        def copy_all_rows():
+            raise AssertionError("lookup copied the whole table")
+
+        monkeypatch.setattr(table, "rows", copy_all_rows)
+        table.io.reset()
+        matches = index.lookup(3)
+        assert [r["id"] for r in matches] == list(range(3, 50, 5))
+        assert table.io.reads == 2
+
+    def test_probe_on_fault_proxy_keeps_its_read_fault(self, table):
+        from repro.errors import StorageFault
+        from repro.resilience.faults import (
+            SCOPE_ALL,
+            FaultInjector,
+            FaultPolicy,
+            FaultyTable,
+        )
+
+        injector = FaultInjector(
+            FaultPolicy(storage_failure_rate=1.0, scope=SCOPE_ALL, seed=0)
+        )
+        index = HashIndex(table, "v")
+        index.table = FaultyTable(table, "R", injector)
+        with pytest.raises(StorageFault):
+            index.lookup(3)
+
     def test_rebuild_after_insert(self, table):
         index = HashIndex(table, "v")
         table.insert({"id": 100, "v": 3})
