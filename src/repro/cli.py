@@ -46,7 +46,6 @@ from repro.mvpp import (
     strategies,
     strategy_names,
 )
-from repro.parallel import EXECUTOR_KINDS
 from repro.mvpp.serialize import design_to_dict
 from repro.obs.export import (
     dump_json,
@@ -120,14 +119,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         help="limit the number of MVPP rotations (default: one per query)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker count for the candidate search (0 = auto, default 1)",
-    )
-    parser.add_argument(
-        "--parallel", choices=EXECUTOR_KINDS, default="auto",
-        help="executor backend when --workers > 1 (default: auto)",
-    )
-    parser.add_argument(
         "--no-cost-cache", action="store_true",
         help="disable the shared cross-candidate cost cache",
     )
@@ -147,8 +138,6 @@ def design_config(args: argparse.Namespace) -> DesignConfig:
     return DesignConfig(
         strategy=args.strategy,
         rotations=args.rotations,
-        workers=args.workers,
-        executor=args.parallel,
         cache=not args.no_cost_cache,
         seed=args.seed,
         engine=args.engine,
@@ -636,11 +625,11 @@ def command_explain(args: argparse.Namespace) -> int:
 
 def command_compare(args: argparse.Namespace) -> int:
     workload = resolve_workload(args)
-    config = design_config(args)
+    design_config(args)  # rejects invalid shared flags, as `design` does
     mvpp = generate_mvpps(workload, rotations=args.rotations or 1)[0]
     calculator = MVPPCostCalculator(mvpp)
     rows = strategies.compare(
-        mvpp, calculator, include_exhaustive=args.exhaustive, config=config
+        mvpp, calculator, include_exhaustive=args.exhaustive
     )
     rows.append(strategies.annealing(mvpp, calculator))
     print(strategy_table(rows, title=f"Strategies on {mvpp.name}"))
@@ -731,6 +720,7 @@ def command_trace(args: argparse.Namespace) -> int:
     if getattr(args, "events", False):
         return command_trace_events(args)
     workload = resolve_workload(args)
+    design_config(args)  # rejects invalid shared flags, as `design` does
     mvpp = generate_mvpps(workload, rotations=args.rotations or 1)[0]
     calculator = MVPPCostCalculator(mvpp)
     result = select_views(mvpp, calculator)
@@ -1030,11 +1020,7 @@ def _simulate_sharding(args: argparse.Namespace) -> int:
         f"read strictly fewer blocks: {result.pruning_wins} "
         f"({result.selective_queries} selective)"
     )
-    print(
-        f"  refresh: affected shards only={result.refresh_affected_only}, "
-        f"bit-identical across workers {list(result.refresh_workers)}="
-        f"{result.refresh_identical}"
-    )
+    print(f"  refresh: affected shards only={result.refresh_affected_only}")
     return 0 if result.ok else 1
 
 

@@ -2,17 +2,14 @@
 
 The sharded counterpart of :mod:`repro.resilience.simulate`: build a
 warehouse, partition its base relations horizontally, and verify the
-three contracts the partition layer makes —
+two contracts the partition layer makes —
 
 * **pruning is sound and pays** — every query served through the pruned
   path returns rows identical to the unpruned baseline, and queries with
   a selective predicate on a partition key read *strictly fewer* blocks;
 * **refresh is partition-wise** — after an update batch, only the shards
   the batch actually landed on are stale on co-partitioned views, and a
-  refresh touches exactly those;
-* **parallel refresh is deterministic** — refreshing with 1, 2 and 4
-  workers produces bit-identical view contents, measured I/O and epochs
-  (parallelism changes wall-clock, never results).
+  refresh touches exactly those.
 
 Everything is seeded and runs on the logical tick clock, so two
 invocations with the same arguments produce the same result document.
@@ -64,8 +61,6 @@ class ShardingSimulationResult:
     pruning_wins: bool
     selective_queries: int
     refresh_affected_only: bool
-    refresh_identical: bool
-    refresh_workers: Tuple[int, ...]
     refreshed_shards: Tuple[str, ...]
     stale_after_update: Mapping[str, Tuple[int, ...]] = field(
         default_factory=dict
@@ -74,14 +69,13 @@ class ShardingSimulationResult:
 
     @property
     def ok(self) -> bool:
-        """Every contract held: sound pruning that pays, partition-wise
-        refresh, and worker-count-independent results."""
+        """Every contract held: sound pruning that pays and
+        partition-wise refresh."""
         return (
             self.rows_identical
             and self.pruning_wins
             and self.selective_queries > 0
             and self.refresh_affected_only
-            and self.refresh_identical
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -98,8 +92,6 @@ class ShardingSimulationResult:
                 "selective_queries": self.selective_queries,
                 "refresh": {
                     "affected_only": self.refresh_affected_only,
-                    "identical_across_workers": self.refresh_identical,
-                    "workers": list(self.refresh_workers),
                     "refreshed_shards": list(self.refreshed_shards),
                     "stale_after_update": dict(self.stale_after_update),
                 },
@@ -277,7 +269,6 @@ def simulate_sharding(
     shards: int = 8,
     replication: int = 2,
     seed: int = 0,
-    workers: Sequence[int] = (1, 2, 4),
     workload: Optional[Workload] = None,
     rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
     scale: float = 0.02,
@@ -287,9 +278,8 @@ def simulate_sharding(
     Serves every workload query through the pruned and unpruned paths
     (rows must match; selective queries must read strictly fewer
     blocks), applies a shard-local update batch (only co-partitioned
-    shards may go stale), and refreshes partition-wise under each worker
-    count in ``workers`` on independently-built warehouses (results must
-    be bit-identical).
+    shards may go stale), and refreshes partition-wise (exactly the
+    stale shards must be refreshed).
     """
     from repro import obs
     from repro.workload import paper_rows, paper_workload
@@ -345,63 +335,29 @@ def simulate_sharding(
         )
     )
 
-    def run_refresh(worker_count: int):
-        wh = _build_warehouse(
-            workload, rows, schemes, seed, sites, replication
+    warehouse.refresh_partitions()  # baseline: all fresh
+    warehouse.apply_update(relation, delta, policy="defer")
+    stale_after_update = {
+        view.name: tuple(warehouse.sharding.stale_shards(view))
+        for view in warehouse.sharding.shardable_views()
+    }
+    outcomes = warehouse.refresh_partitions()
+    refreshed_names = tuple(
+        sorted(o.view for o in outcomes if o.status == "refreshed")
+    )
+    # Co-partitioned views may only have shards from the update's
+    # landing set stale, and the refresh must touch exactly those.
+    expected = tuple(
+        sorted(
+            f"{view_name}#{shard}"
+            for view_name, stale_shards in stale_after_update.items()
+            for shard in stale_shards
         )
-        wh.refresh_partitions(workers=worker_count)  # baseline: all fresh
-        wh.apply_update(relation, delta, policy="defer")
-        stale = {
-            view.name: tuple(wh.sharding.stale_shards(view))
-            for view in wh.sharding.shardable_views()
-        }
-        outcomes = wh.refresh_partitions(workers=worker_count)
-        fingerprint = {}
-        for view in wh.sharding.shardable_views():
-            for shard in wh.sharding.schemes[
-                wh.sharding.copartition_base(view)
-            ].all_shards:
-                name = f"{view.name}#{shard}"
-                if name in wh.database:
-                    fingerprint[name] = _canonical_rows(
-                        wh.database.table(name)
-                    )
-        io = wh.database.io.snapshot()
-        return stale, outcomes, fingerprint, (io.reads, io.writes)
-
-    worker_counts = tuple(
-        sorted(dict.fromkeys(int(w) for w in workers))
-    ) or (1,)
-    baseline = None
-    refresh_identical = True
-    refresh_affected_only = True
-    stale_after_update: Dict[str, Tuple[int, ...]] = {}
-    refreshed_names: Tuple[str, ...] = ()
-    for worker_count in worker_counts:
-        stale, outcomes, fingerprint, io = run_refresh(worker_count)
-        refreshed = tuple(
-            sorted(o.view for o in outcomes if o.status == "refreshed")
-        )
-        # Co-partitioned views may only have shards from the update's
-        # landing set stale; unrelated views must stay fresh.
-        for view_name, stale_shards in stale.items():
-            if not set(stale_shards) <= set(affected):
-                refresh_affected_only = False
-        expected = tuple(
-            sorted(
-                f"{view_name}#{shard}"
-                for view_name, stale_shards in stale.items()
-                for shard in stale_shards
-            )
-        )
-        if refreshed != expected:
-            refresh_affected_only = False
-        if baseline is None:
-            baseline = (stale, fingerprint, io)
-            stale_after_update = stale
-            refreshed_names = refreshed
-        elif baseline != (stale, fingerprint, io):
-            refresh_identical = False
+    )
+    refresh_affected_only = refreshed_names == expected and all(
+        set(stale_shards) <= set(affected)
+        for stale_shards in stale_after_update.values()
+    )
 
     replica_reads: Dict[str, int] = {}
     if obs.enabled():
@@ -431,8 +387,6 @@ def simulate_sharding(
         pruning_wins=pruning_wins,
         selective_queries=selective,
         refresh_affected_only=refresh_affected_only,
-        refresh_identical=refresh_identical,
-        refresh_workers=worker_counts,
         refreshed_shards=refreshed_names,
         stale_after_update=stale_after_update,
         replica_reads=replica_reads,

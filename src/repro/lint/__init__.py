@@ -16,8 +16,9 @@ trees (rules P001-P008), wired into :class:`~repro.executor.physical.
 PhysicalPlanner` lowering behind ``DesignConfig.lint``.
 
 Layer 4 (:mod:`repro.lint.concurrency` / :mod:`repro.lint.effects`)
-analyzes the package *interprocedurally*: shared-state safety of
-functions submitted to :mod:`repro.parallel` executors (X101-X106) and
+analyzes the package as a whole: determinism guards (cache writes only
+at known invalidation sites, seeded RNG, the logical tick clock, no raw
+threading outside :mod:`repro.obs` — X103-X106) and, interprocedurally,
 purity of everything reachable from the cost models (E201-E203).
 
 All layers share one vocabulary (:class:`Diagnostic`, :class:`Severity`,

@@ -1,10 +1,9 @@
 """Layer 2 — the determinism-enforcing code analyzer (``repro lint --self``).
 
-PR 2 established a contract the example-based tests can only sample:
-parallel design runs must be *bit-identical* to serial ones, and any
-design run must be bit-identical under a fixed seed.  This analyzer
-enforces the contract structurally, over our own source, by flagging the
-constructs that break it:
+The design pipeline makes a contract the example-based tests can only
+sample: any design run must be bit-identical under a fixed seed.  This
+analyzer enforces the contract structurally, over our own source, by
+flagging the constructs that break it:
 
 * ``C101`` — iterating a bare ``set``/``frozenset`` expression into
   ordered output (loop, comprehension, ``list()``/``tuple()``/``join``):
@@ -94,7 +93,7 @@ OBS_NAME_METHODS = {
 OBS_NAME_PREFIXES = {
     "adaptive", "bench", "calibration", "cdc", "cost_cache",
     "distributed", "execution", "executor", "generation", "journal",
-    "lint", "maintenance", "obs", "parallel", "resilience", "selection",
+    "lint", "maintenance", "obs", "resilience", "selection",
     "storage", "warehouse",
 }
 

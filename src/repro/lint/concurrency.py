@@ -1,22 +1,10 @@
-"""Concurrency/shared-state analyzer — rules X101-X106.
+"""Determinism/shared-state analyzer — rules X103-X106.
 
-:mod:`repro.parallel` promises that parallel design runs are
-bit-identical to serial ones.  That promise only holds if the callables
-submitted to executors are *effectively pure*: a function that mutates a
-module global or a captured instance produces backend-dependent results
-(threads interleave, processes silently mutate pickled copies).  This
-analyzer makes the contract checkable: it builds a package-wide module
-index, finds every ``executor.map(fn, ...)`` submission site, resolves
-``fn`` through a name-based interprocedural call graph, and flags shared
-mutation anywhere in the reachable code.
+The design pipeline is single-threaded and runs on the logical tick
+clock, so a design or refresh is a pure function of its inputs and the
+config seed.  These rules keep it that way over a package-wide module
+index (also the call graph the effect analyzer walks):
 
-Rules:
-
-* ``X101`` — a parallel-submitted function (or anything it calls)
-  mutates a module-level global;
-* ``X102`` — a parallel-submitted function mutates captured instance or
-  closure state (``self.x = ...``, mutating calls on ``self``-rooted
-  attribute chains, ``nonlocal`` rebinding);
 * ``X103`` — cache write (``CostCache`` / ``BuildSideCache`` /
   ``IndexManager``: ``store`` / ``invalidate`` / ``ensure`` / ``clear``)
   outside the known invalidation-site modules;
@@ -24,15 +12,14 @@ Rules:
   no arguments, or an argument-less ``.seed()`` call;
 * ``X105`` — ``time.sleep`` outside obs/benchmarks (schedulers run on
   the logical tick clock, never the wall clock);
-* ``X106`` — raw ``threading`` / ``multiprocessing`` /
-  ``concurrent.futures`` primitives outside :mod:`repro.parallel` and
-  :mod:`repro.obs` (all other code must go through the executor API).
+* ``X106`` — raw ``threading`` / ``multiprocessing`` / ``concurrent``
+  primitives outside :mod:`repro.obs` (whose locks guard its
+  thread-local tracing state); the rest of the package stays
+  single-threaded.
 
 The analysis is conservative by construction: names it cannot resolve
 are skipped, so every finding points at code that *definitely* matches
-the pattern.  Findings in deliberately-shared structures (the
-``CostCache`` GIL-sharing contract) are suppressed in place with
-justifying ``# lint: ignore[...]`` comments.
+the pattern.
 """
 
 from __future__ import annotations
@@ -55,12 +42,6 @@ from repro.lint.diagnostics import (
     rules_for,
 )
 
-#: Methods that mutate their receiver in place.
-MUTATING_METHODS = {
-    "append", "extend", "add", "update", "insert", "remove", "discard",
-    "pop", "popitem", "clear", "setdefault", "sort", "reverse",
-}
-
 #: Cache-owner attribute names whose write methods X103 guards.
 CACHE_ATTRS = {"cost_cache", "build_cache", "indexes"}
 
@@ -80,18 +61,16 @@ CACHE_SITE_SUFFIXES = (
     "repro/cdc/streaming.py",       # streaming delta commit invalidation
 )
 
-#: Raw concurrency primitives X106 bans outside repro.parallel/repro.obs.
+#: Raw concurrency primitives X106 bans outside repro.obs.
 RAW_PRIMITIVES = {
     "Thread", "Lock", "RLock", "Semaphore", "BoundedSemaphore", "Event",
     "Condition", "Barrier", "Timer", "Process", "Pool",
     "ThreadPoolExecutor", "ProcessPoolExecutor",
 }
 
-#: Modules whose own internals are exempt from submission analysis and
-#: X106 (the executor layer IS the sanctioned primitive user) — and the
-#: obs layer, whose thread-local tracing state is synchronization, not
-#: shared business state.
-PRIMITIVE_EXEMPT_SUFFIXES = ("repro/parallel", "repro/obs")
+#: The one package allowed raw primitives (X106): the obs layer, whose
+#: locks guard its thread-local tracing state, not business state.
+PRIMITIVE_EXEMPT_PREFIX = "repro/obs"
 
 #: Path fragments exempt from X105 (same contract as C104's exemption).
 SLEEP_EXEMPT_PARTS = ("obs", "benchmarks")
@@ -123,10 +102,6 @@ class FunctionInfo:
     def qualname(self) -> str:
         return f"{self.module.dotted}:{self.name}"
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
 
 @dataclass
 class ModuleInfo:
@@ -138,8 +113,6 @@ class ModuleInfo:
     source_lines: List[str]
     suppressions: Suppressions
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    classes: Dict[str, Set[str]] = field(default_factory=dict)
-    module_globals: Set[str] = field(default_factory=set)
     imports: Dict[str, str] = field(default_factory=dict)
 
     def location(self, node: ast.AST) -> Location:
@@ -168,22 +141,12 @@ def _index_module(
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[node.name] = FunctionInfo(node.name, info, node)
         elif isinstance(node, ast.ClassDef):
-            methods = set()
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods.add(item.name)
                     key = f"{node.name}.{item.name}"
                     info.functions[key] = FunctionInfo(
                         key, info, item, class_name=node.name
                     )
-            info.classes[node.name] = methods
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    info.module_globals.add(target.id)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 info.imports[alias.asname or alias.name.split(".")[0]] = (
@@ -240,27 +203,6 @@ class PackageContext:
                 return info.functions.get(attr)
         return None
 
-    def resolve_method(
-        self, module: ModuleInfo, method: str
-    ) -> Optional[FunctionInfo]:
-        """``obj.method`` for a non-self receiver: resolve through the
-        classes visible in ``module`` (defined or imported).  Only an
-        *unambiguous* match resolves — two visible classes sharing the
-        method name yield None."""
-        candidates: List[FunctionInfo] = []
-        for class_name, methods in module.classes.items():
-            if method in methods:
-                candidates.append(module.functions[f"{class_name}.{method}"])
-        for local, dotted in module.imports.items():
-            target_module, _, attr = dotted.rpartition(".")
-            info = self.modules.get(target_module)
-            if info is not None and attr in info.classes:
-                if method in info.classes[attr]:
-                    candidates.append(info.functions[f"{attr}.{method}"])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
     def reachable(self, start: FunctionInfo) -> List[FunctionInfo]:
         """BFS over the name-resolved call graph from ``start``."""
         seen: Set[str] = {start.qualname}
@@ -288,213 +230,10 @@ class PackageContext:
                     order.append(target)
         return order
 
-    # ---------------------------------------------------------- submissions
-    def submissions(self) -> List[Tuple[ModuleInfo, ast.Call, FunctionInfo]]:
-        """Every ``executor.map(fn, ...)`` site with a resolved ``fn``.
-
-        Detection is by receiver name: a ``.map()`` call on a name
-        containing ``executor`` is a submission.  The executor layer's
-        own internal ``pool.map`` plumbing is exempt.
-        """
-        out = []
-        for module in self.modules.values():
-            if module.path.startswith("repro/parallel"):
-                continue
-            for node in ast.walk(module.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "map"
-                    and isinstance(node.func.value, ast.Name)
-                    and "executor" in node.func.value.id.lower()
-                    and node.args
-                ):
-                    continue
-                fn = node.args[0]
-                target: Optional[FunctionInfo] = None
-                if isinstance(fn, ast.Name):
-                    target = self.resolve_function(module, fn.id)
-                elif isinstance(fn, ast.Attribute) and isinstance(
-                    fn.value, ast.Name
-                ):
-                    if fn.value.id == "self":
-                        enclosing = self._enclosing_class(module, node)
-                        if enclosing:
-                            target = module.functions.get(
-                                f"{enclosing}.{fn.attr}"
-                            )
-                    else:
-                        target = self.resolve_method(module, fn.attr)
-                elif isinstance(fn, ast.Lambda):
-                    target = FunctionInfo("<lambda>", module, fn)
-                if target is not None:
-                    out.append((module, node, target))
-        return out
-
-    @staticmethod
-    def _enclosing_class(module: ModuleInfo, node: ast.AST) -> Optional[str]:
-        for top in module.tree.body:
-            if isinstance(top, ast.ClassDef):
-                for descendant in ast.walk(top):
-                    if descendant is node:
-                        return top.name
-        return None
-
-
-# ---------------------------------------------------------------------------
-# mutation detection inside one function
-# ---------------------------------------------------------------------------
-def _local_names(fn_node: ast.AST) -> Set[str]:
-    """Parameters and locally-bound names (which shadow module globals)."""
-    out: Set[str] = set()
-    args = getattr(fn_node, "args", None)
-    if args is not None:
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            out.add(arg.arg)
-        if args.vararg:
-            out.add(args.vararg.arg)
-        if args.kwarg:
-            out.add(args.kwarg.arg)
-    declared_global: Set[str] = set()
-    for node in ast.walk(fn_node):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            out.add(node.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for target in ast.walk(node.target):
-                if isinstance(target, ast.Name):
-                    out.add(target.id)
-    return out - declared_global
-
-
-def _global_mutations(
-    fn: FunctionInfo,
-) -> Iterator[Tuple[ast.AST, str, str]]:
-    """(node, global name, kind) for each module-global mutation in ``fn``."""
-    module_globals = fn.module.module_globals
-    locals_ = _local_names(fn.node)
-    declared_global: Set[str] = set()
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-    for node in ast.walk(fn.node):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in declared_global:
-                    yield node, target.id, "rebinds"
-                elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                    chain = _attr_chain(target)
-                    base = None
-                    if chain:
-                        base = chain[0]
-                    elif isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        base = target.value.id
-                    if (
-                        base
-                        and base in module_globals
-                        and base not in locals_
-                    ):
-                        yield node, base, "writes into"
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in MUTATING_METHODS
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in module_globals
-            and node.func.value.id not in locals_
-        ):
-            yield node, node.func.value.id, f".{node.func.attr}() mutates"
-
-
-def _instance_mutations(fn: FunctionInfo) -> Iterator[Tuple[ast.AST, str]]:
-    """(node, description) for captured-state mutations in ``fn``."""
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Nonlocal):
-            yield node, f"rebinds closure variable(s) {', '.join(node.names)}"
-        if not fn.is_method and fn.name != "<lambda>":
-            continue
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                chain = _attr_chain(
-                    target.value if isinstance(target, ast.Subscript) else target
-                )
-                if chain and chain[0] == "self" and len(chain) > 1:
-                    if isinstance(target, ast.Subscript):
-                        yield node, f"writes into self.{'.'.join(chain[1:])}"
-                    else:
-                        yield node, f"assigns self.{'.'.join(chain[1:])}"
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in MUTATING_METHODS
-        ):
-            chain = _attr_chain(node.func.value)
-            if chain and chain[0] == "self":
-                yield (
-                    node,
-                    f".{node.func.attr}() mutates "
-                    f"self.{'.'.join(chain[1:])}",
-                )
-
 
 # ---------------------------------------------------------------------------
 # rules
 # ---------------------------------------------------------------------------
-@register_rule(
-    "X101",
-    scope="concurrency",
-    severity=Severity.ERROR,
-    summary="parallel-submitted code mutates a module global",
-    paper="PR 2 determinism contract: parallel == serial, bit-identical",
-)
-def check_global_mutation(ctx: PackageContext) -> Iterator[Diagnostic]:
-    rule = get_rule("X101")
-    for module, site, target in ctx.submissions():
-        for fn in ctx.reachable(target):
-            for node, name, kind in _global_mutations(fn):
-                yield rule.diagnostic(
-                    f"{fn.qualname} {kind} module global {name!r} while "
-                    f"submitted to an executor at {module.path}:"
-                    f"{site.lineno}",
-                    location=fn.module.location(node),
-                    hint="pass state in through the payload and return "
-                    "results instead of mutating shared state",
-                )
-
-
-@register_rule(
-    "X102",
-    scope="concurrency",
-    severity=Severity.ERROR,
-    summary="parallel-submitted code mutates captured instance/closure state",
-    paper="process executors mutate pickled copies; threads interleave",
-)
-def check_captured_mutation(ctx: PackageContext) -> Iterator[Diagnostic]:
-    rule = get_rule("X102")
-    for module, site, target in ctx.submissions():
-        for fn in ctx.reachable(target):
-            for node, description in _instance_mutations(fn):
-                yield rule.diagnostic(
-                    f"{fn.qualname} {description} while submitted to an "
-                    f"executor at {module.path}:{site.lineno}",
-                    location=fn.module.location(node),
-                    hint="return the value and apply it on the submitting "
-                    "side, or document the GIL-atomicity contract with a "
-                    "suppression",
-                )
-
-
 @register_rule(
     "X103",
     scope="concurrency",
@@ -595,13 +334,13 @@ def check_wall_sleep(ctx: PackageContext) -> Iterator[Diagnostic]:
     "X106",
     scope="concurrency",
     severity=Severity.ERROR,
-    summary="raw threading/multiprocessing primitive outside repro.parallel",
-    paper="all fan-out goes through the executor API (PR 2)",
+    summary="raw threading/multiprocessing primitive outside repro.obs",
+    paper="the design pipeline is single-threaded: results are per-seed pure",
 )
 def check_raw_primitives(ctx: PackageContext) -> Iterator[Diagnostic]:
     rule = get_rule("X106")
     for module in ctx.modules.values():
-        if module.path.startswith(PRIMITIVE_EXEMPT_SUFFIXES):
+        if module.path.startswith(PRIMITIVE_EXEMPT_PREFIX):
             continue
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -617,16 +356,16 @@ def check_raw_primitives(ctx: PackageContext) -> Iterator[Diagnostic]:
             elif isinstance(node.func, ast.Name):
                 imported = module.imports.get(node.func.id, "")
                 if imported.startswith(
-                    ("threading.", "multiprocessing.", "concurrent.futures.")
+                    ("threading.", "multiprocessing.", "concurrent.")
                 ):
                     name = node.func.id
             if name in RAW_PRIMITIVES:
                 yield rule.diagnostic(
                     f"raw concurrency primitive {name} constructed outside "
-                    f"repro.parallel",
+                    f"repro.obs",
                     location=module.location(node),
-                    hint="use resolve_executor()/Executor.map so backends "
-                    "stay swappable and deterministic",
+                    hint="keep the package single-threaded: run the work "
+                    "in a plain loop",
                 )
 
 

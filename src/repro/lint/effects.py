@@ -8,7 +8,7 @@ catalog, performs I/O, or edits its arguments in place breaks both
 silently.  This analyzer walks every function reachable from the two
 cost-model entry modules (``repro/mvpp/cost.py`` and
 ``repro/distributed/comm_cost.py``) through the same name-resolved call
-graph the concurrency analyzer builds, and flags effects:
+graph the concurrency analyzer's package index builds, and flags effects:
 
 * ``E201`` — catalog/statistics mutation: calls to registry mutators
   (``register`` / ``set_relation`` / ``set_cardinality`` / ...) or
@@ -35,7 +35,6 @@ from repro.lint.concurrency import (
     PackageContext,
     _attr_chain,
     lint_package_scope,
-    MUTATING_METHODS,
 )
 from repro.lint.diagnostics import (
     Diagnostic,
@@ -44,6 +43,12 @@ from repro.lint.diagnostics import (
     get_rule,
     register_rule,
 )
+
+#: Methods that mutate their receiver in place.
+MUTATING_METHODS = {
+    "append", "extend", "add", "update", "insert", "remove", "discard",
+    "pop", "popitem", "clear", "setdefault", "sort", "reverse",
+}
 
 #: Modules whose functions/methods seed the reachability analysis.
 COST_ENTRY_SUFFIXES = ("repro/mvpp/cost.py", "repro/distributed/comm_cost.py")

@@ -1,8 +1,7 @@
 """The unified design-pipeline configuration and result protocol.
 
 :class:`DesignConfig` is one frozen dataclass holding every design-time
-knob (selection strategy, candidate count, parallel workers, cost-cache
-toggle, seed).  It is the only way to configure :func:`repro.design`,
+knob (selection strategy, candidate count, cost-cache toggle, seed).  It is the only way to configure :func:`repro.design`,
 :meth:`DataWarehouse.design
 <repro.warehouse.warehouse.DataWarehouse.design>` and
 :meth:`~repro.warehouse.warehouse.DataWarehouse.redesign`; the CLI builds
@@ -22,7 +21,6 @@ from typing import Any, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import MVPPError
 from repro.mvpp.cost import PER_BASE, PER_PERIOD
-from repro.parallel.executor import EXECUTOR_KINDS
 from repro.resilience.config import ResilienceConfig
 
 __all__ = [
@@ -39,9 +37,7 @@ class DesignConfig:
     ``strategy`` names a registered selection strategy (see
     :func:`repro.mvpp.strategies.strategy_names`); ``rotations`` caps the
     number of Figure-4 candidate MVPPs (``None`` = one per query);
-    ``workers`` / ``executor`` control the parallel fan-out (``workers=1``
-    is serial, ``workers=0`` auto-sizes to the CPU count); ``cache``
-    toggles the shared :class:`~repro.mvpp.cost.CostCache`; ``seed``
+    ``cache`` toggles the shared :class:`~repro.mvpp.cost.CostCache`; ``seed``
     feeds the randomized strategies (annealing, genetic).
 
     ``maintenance_trigger=None`` means "the caller's default" — plain
@@ -70,8 +66,6 @@ class DesignConfig:
 
     strategy: str = "heuristic"
     rotations: Optional[int] = None
-    workers: int = 1
-    executor: str = "auto"
     cache: bool = True
     seed: int = 0
     maintenance_trigger: Optional[str] = None
@@ -110,13 +104,6 @@ class DesignConfig:
             raise MVPPError(f"strategy must be a non-empty name: {self.strategy!r}")
         if self.rotations is not None and self.rotations < 1:
             raise MVPPError(f"rotations must be >= 1 (or None): {self.rotations}")
-        if self.workers < 0:
-            raise MVPPError(f"workers must be >= 0: {self.workers}")
-        if self.executor not in EXECUTOR_KINDS:
-            raise MVPPError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_KINDS}"
-            )
         if self.maintenance_trigger not in (None, PER_BASE, PER_PERIOD):
             raise MVPPError(
                 f"unknown maintenance trigger: {self.maintenance_trigger!r}"
@@ -135,17 +122,12 @@ class DesignConfig:
         """The maintenance trigger with ``None`` resolved to ``default``."""
         return self.maintenance_trigger or default
 
-    @property
-    def parallel(self) -> bool:
-        """Whether this config requests any parallel fan-out."""
-        return self.workers != 1
-
     def replace(self, **changes: Any) -> "DesignConfig":
         """A copy with the given fields changed (re-validated)."""
         return replace(self, **changes)
 
 
-#: The all-defaults config: Figure-9 heuristic, serial, cache on.
+#: The all-defaults config: Figure-9 heuristic, cache on.
 DEFAULT_DESIGN_CONFIG = DesignConfig()
 
 @runtime_checkable

@@ -51,13 +51,6 @@ class CostCache:
     warehouse owns a persistent instance and calls :meth:`invalidate`
     whenever statistics change (``sync_statistics``); standalone
     ``design()`` runs create a fresh cache per run.
-
-    Thread-safety: lookups/stores are plain dict operations (atomic
-    under the GIL) so the cache is safe to share across the thread
-    executor; the hit/miss counters may undercount slightly under
-    contention, which only affects reporting, never costs.  Process
-    workers get pickled per-process copies — cross-candidate sharing is
-    a serial/thread feature.
     """
 
     __slots__ = ("_data", "hits", "misses", "invalidations")

@@ -10,14 +10,11 @@ improvement heuristic used as an additional baseline.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import MVPPError
 from repro.mvpp.cost import CostBreakdown, MVPPCostCalculator
 from repro.mvpp.graph import MVPP, Vertex
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.executor import Executor
 
 #: Hard cap on exhaustive candidates: 2^18 designs is ~260k evaluations.
 MAX_EXHAUSTIVE_CANDIDATES = 18
@@ -29,7 +26,6 @@ def exhaustive_optimal(
     candidates: Optional[Sequence[Vertex]] = None,
     max_candidates: int = MAX_EXHAUSTIVE_CANDIDATES,
     space_budget: Optional[float] = None,
-    executor: Optional["Executor"] = None,
 ) -> Tuple[List[Vertex], CostBreakdown]:
     """The true optimum over every subset of candidate vertices.
 
@@ -38,12 +34,6 @@ def exhaustive_optimal(
     them — use :func:`greedy_forward` or the Figure-9 heuristic instead.
     ``space_budget`` (blocks) restricts the search to subsets whose
     stored size fits.
-
-    ``executor`` (a :class:`repro.parallel.Executor`) splits the subset
-    enumeration into contiguous chunks evaluated concurrently.  The
-    chunks preserve enumeration order and the final argmin keeps the
-    serial tie-break (first strictly-cheaper subset wins), so the result
-    is bit-identical across backends.
     """
     calculator = calculator or MVPPCostCalculator(mvpp)
     pool = list(candidates) if candidates is not None else mvpp.operations
@@ -52,13 +42,8 @@ def exhaustive_optimal(
             f"{len(pool)} candidates exceed the exhaustive-search cap of "
             f"{max_candidates}; use the heuristic for MVPPs this large"
         )
-    baseline = calculator.breakdown(())
-    if executor is not None and executor.workers > 1 and pool:
-        return _exhaustive_parallel(
-            calculator, pool, baseline, space_budget, executor
-        )
     best_set: List[Vertex] = []
-    best = baseline
+    best = calculator.breakdown(())
     for size in range(1, len(pool) + 1):
         for subset in combinations(pool, size):
             if space_budget is not None and _blocks(subset) > space_budget:
@@ -68,49 +53,6 @@ def exhaustive_optimal(
                 best = breakdown
                 best_set = list(subset)
     return best_set, best
-
-
-def _exhaustive_parallel(
-    calculator: MVPPCostCalculator,
-    pool: List[Vertex],
-    baseline: CostBreakdown,
-    space_budget: Optional[float],
-    executor: "Executor",
-) -> Tuple[List[Vertex], CostBreakdown]:
-    """Chunked fan-out of the subset sweep (order-preserving argmin)."""
-    indexed: List[Tuple[int, ...]] = []
-    for size in range(1, len(pool) + 1):
-        indexed.extend(combinations(range(len(pool)), size))
-    chunk_count = max(1, min(executor.workers * 4, len(indexed)))
-    step = (len(indexed) + chunk_count - 1) // chunk_count
-    chunks = [indexed[i : i + step] for i in range(0, len(indexed), step)]
-    payloads = [(calculator, pool, chunk, space_budget) for chunk in chunks]
-    results = executor.map(_chunk_best, payloads)
-    best_indices: Optional[Tuple[int, ...]] = None
-    best = baseline
-    for chunk_best in results:
-        if chunk_best is None:
-            continue
-        indices, breakdown = chunk_best
-        if breakdown.total < best.total:
-            best = breakdown
-            best_indices = indices
-    chosen = [pool[i] for i in best_indices] if best_indices else []
-    return chosen, best
-
-
-def _chunk_best(payload):
-    """Best subset within one enumeration chunk (module-level: picklable)."""
-    calculator, pool, chunk, space_budget = payload
-    best: Optional[Tuple[Tuple[int, ...], CostBreakdown]] = None
-    for indices in chunk:
-        subset = [pool[i] for i in indices]
-        if space_budget is not None and _blocks(subset) > space_budget:
-            continue
-        breakdown = calculator.breakdown(subset)
-        if best is None or breakdown.total < best[1].total:
-            best = (indices, breakdown)
-    return best
 
 
 def _blocks(vertices: Sequence[Vertex]) -> float:

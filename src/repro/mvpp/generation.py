@@ -38,7 +38,6 @@ from repro.errors import MVPPError
 from repro.mvpp.config import DEFAULT_DESIGN_CONFIG, DesignConfig
 from repro.mvpp.cost import PER_PERIOD, CostBreakdown, CostCache, MVPPCostCalculator
 from repro.mvpp.graph import MVPP, Vertex
-from repro.parallel.executor import SerialExecutor, resolve_executor
 from repro.mvpp.merge import merge_skeletons, skeleton_join_conjuncts
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -220,14 +219,6 @@ def build_mvpp(
     return mvpp
 
 
-def _build_rotation(payload: Tuple[Any, ...]) -> MVPP:
-    """Build one rotation's MVPP (module-level so process pools can run it)."""
-    order, workload, estimator, cost_model, name, push_down = payload
-    return build_mvpp(
-        order, workload, estimator, cost_model, name=name, push_down=push_down
-    )
-
-
 def generate_mvpps(
     workload: Workload,
     estimator: Optional[CardinalityEstimator] = None,
@@ -239,10 +230,7 @@ def generate_mvpps(
     """The full Figure-4 algorithm: one MVPP per rotation of the plan list.
 
     With a ``config``, its ``rotations``/``push_down`` take over (unless
-    the explicit keyword arguments were given) and its
-    ``workers``/``executor`` fan the per-rotation merges out in
-    parallel.  The candidate list is identical for every backend: tasks
-    are dispatched and collected in rotation order.  Without either,
+    the explicit keyword arguments were given).  Without either,
     ``push_down`` defaults to True (the Figure-8 form).
     """
     if config is not None:
@@ -250,11 +238,6 @@ def generate_mvpps(
         push_down = push_down if push_down is not None else config.push_down
     if push_down is None:
         push_down = True
-    executor = (
-        resolve_executor(config.executor, config.workers)
-        if config is not None
-        else SerialExecutor()
-    )
     estimator = estimator or CardinalityEstimator(workload.statistics)
     with obs.span("generation.mvpps", workload=workload.name) as span:
         infos = prepare_queries(workload, estimator, cost_model)
@@ -263,20 +246,19 @@ def generate_mvpps(
         if k == 0:
             raise MVPPError("workload has no queries")
         count = k if rotations is None else max(1, min(rotations, k))
-        span.set(rotations=count, workers=executor.workers)
+        span.set(rotations=count)
         obs.metrics().counter("generation.candidates").inc(count)
-        payloads = [
-            (
+        mvpps = [
+            build_mvpp(
                 infos[rotation:] + infos[:rotation],
                 workload,
                 estimator,
                 cost_model,
-                f"{workload.name}-mvpp{rotation + 1}",
-                push_down,
+                name=f"{workload.name}-mvpp{rotation + 1}",
+                push_down=push_down,
             )
             for rotation in range(count)
         ]
-        mvpps = executor.map(_build_rotation, payloads)
     return mvpps
 
 
@@ -414,23 +396,6 @@ class DesignResult:
         return self.breakdown.total
 
 
-def _evaluate_candidate(payload: Tuple[Any, ...]) -> Tuple[Tuple[str, ...], CostBreakdown]:
-    """Select views on one candidate MVPP; returns (names, breakdown).
-
-    Module-level so process pools can run it.  Names (not Vertex
-    objects) cross the worker boundary — the parent re-resolves them on
-    its own MVPP instances, keeping object identity intact.
-    """
-    from repro.mvpp import strategies as strategy_registry
-
-    mvpp, trigger, config, cache = payload
-    calculator = MVPPCostCalculator(mvpp, trigger, cache=cache)
-    strategy = strategy_registry.get_strategy(config.strategy)
-    chosen = strategy(mvpp, calculator, config)
-    breakdown = calculator.breakdown(chosen)
-    return tuple(v.name for v in chosen), breakdown
-
-
 def design(
     workload: Workload,
     config: Optional[DesignConfig] = None,
@@ -445,13 +410,10 @@ def design(
     ``cost_model`` stay separate because they are live objects, not
     configuration values.
 
-    ``config.workers > 1`` fans the per-candidate Figure-9 selection
-    out on the configured executor; ``config.cache`` shares one
-    :class:`~repro.mvpp.cost.CostCache` across candidates (pass
-    ``cache`` to reuse a caller-owned instance, e.g. the warehouse's).
-    Results are bit-identical across worker counts and backends: tasks
-    are collected in candidate order and ties keep the earlier
-    candidate, exactly like the serial loop.
+    ``config.cache`` shares one :class:`~repro.mvpp.cost.CostCache`
+    across candidates (pass ``cache`` to reuse a caller-owned instance,
+    e.g. the warehouse's).  Candidates are selected on in order and ties
+    keep the earlier candidate.
 
     ``config.include_naive`` adds one more candidate beyond the paper's
     Figure-4 rotations: the MVPP obtained by interning each query's
@@ -461,6 +423,7 @@ def design(
     merged ones, whose disjunctive stems widen shared intermediates —
     see ``benchmarks/bench_ablation_merge.py``.
     """
+    from repro.mvpp import strategies as strategy_registry
     from repro.mvpp.builder import build_from_workload
 
     if config is not None and not isinstance(config, DesignConfig):
@@ -482,7 +445,6 @@ def design(
         "generation.design",
         workload=workload.name,
         strategy=config.strategy,
-        workers=config.workers,
     ) as span:
         candidates = generate_mvpps(
             workload, estimator, cost_model, config=config
@@ -491,20 +453,17 @@ def design(
             candidates = candidates + [
                 build_from_workload(workload, estimator, cost_model)
             ]
-        executor = resolve_executor(config.executor, config.workers)
-        payloads = [
-            (mvpp, trigger, config, cache) for mvpp in candidates
-        ]
-        evaluations = executor.map(_evaluate_candidate, payloads)
-
+        strategy = strategy_registry.get_strategy(config.strategy)
         best: Optional[DesignResult] = None
-        for mvpp, (names, breakdown) in zip(candidates, evaluations):
+        for mvpp in candidates:
+            calculator = MVPPCostCalculator(mvpp, trigger, cache=cache)
+            chosen = strategy(mvpp, calculator, config)
+            breakdown = calculator.breakdown(chosen)
             if best is not None and breakdown.total >= best.total_cost:
                 continue
-            calculator = MVPPCostCalculator(mvpp, trigger, cache=cache)
             best = DesignResult(
                 mvpp=mvpp,
-                materialized=[mvpp.vertex_by_name(n) for n in names],
+                materialized=list(chosen),
                 breakdown=breakdown,
                 calculator=calculator,
                 candidates=candidates,

@@ -23,14 +23,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.mvpp.cost import MVPPCostCalculator, PER_PERIOD
 from repro.mvpp.graph import MVPP, Vertex
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,6 @@ def select_views(
     calculator: Optional[MVPPCostCalculator] = None,
     refine: bool = False,
     space_budget: Optional[float] = None,
-    executor: Optional["Executor"] = None,
 ) -> MaterializationResult:
     """Run the paper's Figure-9 heuristic on an annotated MVPP.
 
@@ -92,11 +88,6 @@ def select_views(
     views — the classic space-constrained variant of the problem.  A
     vertex that no longer fits is skipped (decision ``"skip-budget"``)
     without pruning its branch: a smaller relative may still fit.
-
-    ``executor`` (a :class:`repro.parallel.Executor`) fans out the
-    initial per-vertex weight evaluation; the greedy loop itself is
-    inherently sequential.  Results are identical for every backend —
-    the weights are collected in vertex order before sorting.
     """
     calculator = calculator or MVPPCostCalculator(mvpp, PER_PERIOD)
     if space_budget is not None and space_budget < 0:
@@ -114,14 +105,9 @@ def select_views(
                 _record_step(span, step)
 
         # Step 2: candidates with positive weight, descending weight order.
-        operations = mvpp.operations
-        if executor is not None:
-            weights = executor.map(calculator.weight, operations)
-            weighted = list(zip(weights, operations))
-        else:
-            weighted = [
-                (calculator.weight(vertex), vertex) for vertex in operations
-            ]
+        weighted = [
+            (calculator.weight(vertex), vertex) for vertex in mvpp.operations
+        ]
         queue: Deque[Tuple[float, Vertex]] = deque(
             sorted(
                 ((w, v) for w, v in weighted if w > 0),

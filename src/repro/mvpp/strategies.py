@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import MVPPError
-from repro.mvpp.config import DEFAULT_DESIGN_CONFIG, DesignConfig
+from repro.mvpp.config import DesignConfig
 from repro.mvpp.cost import CostBreakdown, MVPPCostCalculator
 from repro.mvpp.exhaustive import exhaustive_optimal, greedy_forward
 from repro.mvpp.graph import MVPP, Vertex, VertexKind
 from repro.mvpp.materialization import select_views
-from repro.parallel.executor import resolve_executor
 
 
 @dataclass(frozen=True)
@@ -276,32 +275,17 @@ def compare(
     calculator: MVPPCostCalculator,
     extra: Optional[Dict[str, Sequence[str]]] = None,
     include_exhaustive: bool = False,
-    config: Optional[DesignConfig] = None,
 ) -> List[StrategyResult]:
-    """Run the standard strategy suite (plus ``extra`` named vertex sets).
-
-    With a ``config`` requesting workers, rows are evaluated on a
-    parallel executor (thread-backed — strategy thunks are closures
-    over the shared MVPP, so a ``process`` request degrades to
-    threads).  Row order and contents are identical for every backend.
-    """
-    config = config or DEFAULT_DESIGN_CONFIG
-    thunks: List[Callable[[], StrategyResult]] = [
-        lambda: materialize_nothing(mvpp, calculator),
-        lambda: materialize_all_queries(mvpp, calculator),
-        lambda: materialize_everything(mvpp, calculator),
-        lambda: heuristic(mvpp, calculator),
-        lambda: greedy(mvpp, calculator),
+    """Run the standard strategy suite (plus ``extra`` named vertex sets)."""
+    rows = [
+        materialize_nothing(mvpp, calculator),
+        materialize_all_queries(mvpp, calculator),
+        materialize_everything(mvpp, calculator),
+        heuristic(mvpp, calculator),
+        greedy(mvpp, calculator),
     ]
     if include_exhaustive:
-        thunks.append(lambda: exhaustive(mvpp, calculator))
+        rows.append(exhaustive(mvpp, calculator))
     for name, vertex_names in (extra or {}).items():
-        thunks.append(
-            lambda name=name, vertex_names=vertex_names: custom(
-                mvpp, calculator, name, vertex_names
-            )
-        )
-    executor = resolve_executor(
-        config.executor, config.workers, closures=True
-    )
-    return executor.map(lambda thunk: thunk(), thunks)
+        rows.append(custom(mvpp, calculator, name, vertex_names))
+    return rows

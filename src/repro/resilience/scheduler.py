@@ -313,8 +313,6 @@ class RefreshScheduler:
         self,
         view: "MaterializedView",
         shards: Optional[Tuple[int, ...]] = None,
-        workers: int = 1,
-        executor: str = "auto",
     ) -> List[RefreshOutcome]:
         """Partition-wise refresh of a co-partitioned view.
 
@@ -322,15 +320,8 @@ class RefreshScheduler:
         defaulting to exactly the *stale* shards, i.e. the partitions
         named by update batches since the last refresh.  Every shard
         gets its own circuit breaker and freshness epoch on the shared
-        logical clock.
-
-        ``workers > 1`` computes shard refreshes concurrently (each task
-        against private table clones and a private I/O counter) and then
-        commits serially in shard order, so stored rows, measured I/O,
-        and the clock trajectory are bit-identical to a serial run.
-        With a fault injector attached the scheduler always runs the
-        serial path: seeded fault draws must happen in deterministic
-        order.
+        logical clock.  Shards are refreshed in shard order through
+        :meth:`refresh_view`.
         """
         manager = getattr(self.warehouse, "sharding", None)
         if manager is None:
@@ -353,87 +344,12 @@ class RefreshScheduler:
         shards = tuple(sorted(shards))
         if not shards:
             return []
-        shard_views = [manager.shard_view(view, shard) for shard in shards]
-
-        if workers <= 1 or self.injector is not None:
-            outcomes = []
-            for shard, shard_view in zip(shards, shard_views):
-                outcome = self.refresh_view(shard_view)
-                if outcome.ok:
-                    manager.record_fresh(view, shard)
-                outcomes.append(outcome)
-            return outcomes
-
-        from repro.executor.engine import Database, ExecutionEngine
-        from repro.executor.physical import charge_materialize
-        from repro.parallel import resolve_executor
-        from repro.storage.table import Table
-
-        database = self.warehouse.database
-        engine = self.warehouse.engine
-
-        def compute(shard_view):
-            # Clone every input into a private database with a private
-            # I/O counter: tasks share nothing, so thread scheduling
-            # cannot reorder charges on the real counter.
-            private = Database()
-            for relation in sorted(shard_view.plan.base_relations()):
-                source = database.table(relation)
-                clone = Table(source.schema, source.blocking_factor)
-                clone.insert_many(source.rows(), count_io=False)
-                private.register(relation, clone)
-            task_engine = ExecutionEngine(
-                private,
-                engine.join_method,
-                engine=engine.engine,
-                batch_size=engine.batch_size,
-                lint=engine.lint,
-            )
-            result = task_engine.execute(shard_view.plan)
-            stored = Table(
-                result.schema, result.blocking_factor, io=private.io
-            )
-            stored.insert_many(result.rows(), count_io=False)
-            charge_materialize(stored)
-            return stored, private.io.snapshot()
-
-        pool = resolve_executor(executor, workers, closures=True)
-        computed = pool.map(compute, shard_views)
-
-        # Serial commit in shard order: the shared counter, clock,
-        # breakers and epochs advance exactly as a serial run would.
         outcomes = []
-        for shard, shard_view, (stored, spent) in zip(
-            shards, shard_views, computed
-        ):
-            started = self.clock.now
-            breaker = self.breaker(shard_view.name)
-            database.io.read_blocks(spent.reads)
-            database.io.write_blocks(spent.writes)
-            database.register(shard_view.name, stored)
-            self.clock.advance(float(spent.total))
-            self._breaker_event(
-                shard_view.name, breaker, breaker.record_success
-            )
-            self.warehouse._mark_fresh(shard_view)
-            self.warehouse.engine.indexes.invalidate(shard_view.name)
-            self._epochs[shard_view.name] = self.epoch(shard_view.name) + 1
-            manager.record_fresh(view, shard)
-            self._journal(
-                "resilience.epoch.advance",
-                view=shard_view.name,
-                epoch=self._epochs[shard_view.name],
-            )
-            self._gauge(shard_view.name, breaker)
-            outcomes.append(
-                RefreshOutcome(
-                    shard_view.name,
-                    "refreshed",
-                    1,
-                    self.clock.now - started,
-                    self._epochs[shard_view.name],
-                )
-            )
+        for shard in shards:
+            outcome = self.refresh_view(manager.shard_view(view, shard))
+            if outcome.ok:
+                manager.record_fresh(view, shard)
+            outcomes.append(outcome)
         return outcomes
 
     def refresh_all(self) -> List[RefreshOutcome]:

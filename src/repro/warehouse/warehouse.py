@@ -343,14 +343,10 @@ class DataWarehouse:
                 self.sharding.partition_relation(scheme.relation)
         return self.sharding
 
-    def refresh_partitions(
-        self, workers: int = 1, executor: str = "auto"
-    ) -> List["RefreshOutcome"]:
+    def refresh_partitions(self) -> List["RefreshOutcome"]:
         """Partition-wise refresh of every co-partitioned view's stale
         shards, through the resilient scheduler (per-partition breakers
-        and freshness epochs).  ``workers > 1`` computes shard refreshes
-        in parallel and commits them serially in shard order, so results
-        and measured I/O are bit-identical to a serial run."""
+        and freshness epochs)."""
         if self.sharding is None:
             raise WarehouseError("call enable_sharding() first")
         outcomes: List["RefreshOutcome"] = []
@@ -358,11 +354,7 @@ class DataWarehouse:
         for view in sorted(
             self.sharding.shardable_views(), key=lambda v: v.name
         ):
-            outcomes.extend(
-                scheduler.refresh_partitions(
-                    view, workers=workers, executor=executor
-                )
-            )
+            outcomes.extend(scheduler.refresh_partitions(view))
         return outcomes
 
     # ------------------------------------------------------------------ data

@@ -41,13 +41,10 @@ class TestChooseSchemes:
 
 class TestSimulateSharding:
     def test_contracts_hold_end_to_end(self):
-        result = simulate_sharding(
-            shards=2, seed=3, scale=0.01, workers=(1, 2)
-        )
+        result = simulate_sharding(shards=2, seed=3, scale=0.01)
         assert result.ok
         assert result.rows_identical
         assert result.pruning_wins
-        assert result.refresh_identical
         assert result.refresh_affected_only
         document = result.to_dict()
         assert document["ok"] is True

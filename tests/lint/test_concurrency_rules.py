@@ -1,5 +1,5 @@
-"""Synthetic-package tests for the concurrency (X1xx) and effect (E2xx)
-analyzers.
+"""Synthetic-package tests for the determinism (X103-X106) and effect
+(E2xx) analyzers.
 
 Each test builds a tiny fake package with
 :meth:`PackageContext.build` — (display path, dotted module, source)
@@ -32,88 +32,7 @@ def rules_of(report):
     return sorted(d.rule for d in report.diagnostics)
 
 
-SUBMIT = """
-    from pkg.worker import crunch
-
-    def fan_out(executor, items):
-        return executor.map(crunch, items)
-"""
-
-
 class TestConcurrencyRules:
-    def test_x101_global_mutation_in_submitted_function(self):
-        ctx = build(
-            pkg__driver=SUBMIT,
-            pkg__worker="""
-                RESULTS = []
-
-                def crunch(item):
-                    RESULTS.append(item)
-                    return item
-            """,
-        )
-        report = lint_concurrency(ctx)
-        assert rules_of(report) == ["X101"]
-        diagnostic = report.diagnostics[0]
-        assert "RESULTS" in diagnostic.message
-        assert diagnostic.location.file == "pkg/worker.py"
-
-    def test_x101_transitive_through_helper(self):
-        ctx = build(
-            pkg__driver=SUBMIT,
-            pkg__worker="""
-                COUNTS = {}
-
-                def record(item):
-                    COUNTS[item] = 1
-
-                def crunch(item):
-                    record(item)
-                    return item
-            """,
-        )
-        report = lint_concurrency(ctx)
-        assert rules_of(report) == ["X101"]
-        assert "record" in report.diagnostics[0].message
-
-    def test_x102_submitted_method_mutates_self(self):
-        ctx = build(
-            pkg__worker="""
-                class Builder:
-                    def __init__(self):
-                        self.seen = []
-
-                    def crunch(self, item):
-                        self.seen.append(item)
-                        return item
-
-                    def run(self, executor, items):
-                        return executor.map(self.crunch, items)
-            """,
-        )
-        report = lint_concurrency(ctx)
-        assert rules_of(report) == ["X102"]
-        assert "self.seen" in report.diagnostics[0].message
-
-    def test_x102_suppression_with_justification(self):
-        ctx = build(
-            pkg__worker="""
-                class Builder:
-                    def __init__(self):
-                        self.seen = []
-
-                    def crunch(self, item):
-                        self.seen.append(item)  # lint: ignore[X102]
-                        return item
-
-                    def run(self, executor, items):
-                        return executor.map(self.crunch, items)
-            """,
-        )
-        report = lint_concurrency(ctx)
-        assert report.diagnostics == []
-        assert report.suppressed == 1
-
     def test_x103_cache_write_outside_known_sites(self):
         ctx = build(
             pkg__rogue="""
@@ -191,36 +110,28 @@ class TestConcurrencyRules:
         )
         assert rules_of(lint_concurrency(ctx)) == ["X106"]
 
-    def test_x106_exempt_inside_parallel(self):
+    def test_x106_raw_thread_under_parallel_path_is_flagged(self):
+        # No executor package is exempt any more: the package is
+        # single-threaded outside repro.obs.
         ctx = build(
             repro__parallel__executor="""
                 import threading
 
+                def go(fn):
+                    return threading.Thread(target=fn)
+            """,
+        )
+        report = lint_concurrency(ctx)
+        assert rules_of(report) == ["X106"]
+        assert report.diagnostics[0].location.file == "repro/parallel/executor.py"
+
+    def test_x106_exempt_in_obs(self):
+        ctx = build(
+            repro__obs__tracing="""
+                import threading
+
                 def make_lock():
                     return threading.Lock()
-            """,
-        )
-        assert lint_concurrency(ctx).diagnostics == []
-
-    def test_pure_submission_is_clean(self):
-        ctx = build(
-            pkg__driver=SUBMIT,
-            pkg__worker="""
-                def crunch(item):
-                    local = [item]
-                    local.append(item * 2)
-                    return sum(local)
-            """,
-        )
-        assert lint_concurrency(ctx).diagnostics == []
-
-    def test_unresolvable_submission_is_skipped(self):
-        # Conservative by construction: a name the index cannot resolve
-        # never produces a finding.
-        ctx = build(
-            pkg__driver="""
-                def fan_out(executor, fn, items):
-                    return executor.map(fn, items)
             """,
         )
         assert lint_concurrency(ctx).diagnostics == []
@@ -358,18 +269,3 @@ class TestRealPackageIsClean:
         # MVPPCostCalculator: the distributed calculator shares the
         # traversal through hooks instead of duplicating the cache.
         assert effects.suppressed >= 2
-
-    def test_submission_sites_resolve(self):
-        from pathlib import Path
-
-        import repro
-
-        package_root = Path(repro.__file__).resolve().parent
-        ctx = PackageContext.from_package(
-            package_root, base=package_root.parent
-        )
-        sites = {
-            (module.path, target.name) for module, _, target in ctx.submissions()
-        }
-        assert ("repro/mvpp/exhaustive.py", "_chunk_best") in sites
-        assert len(sites) >= 4

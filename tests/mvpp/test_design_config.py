@@ -31,28 +31,25 @@ class TestDesignConfig:
         config = DesignConfig()
         assert config.strategy == "heuristic"
         assert config.rotations is None
-        assert config.workers == 1
-        assert config.executor == "auto"
         assert config.cache is True
-        assert not config.parallel
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            DesignConfig().workers = 4
+            DesignConfig().rotations = 4
 
     def test_replace_revalidates(self):
-        config = DesignConfig().replace(workers=4)
-        assert config.workers == 4 and config.parallel
+        config = DesignConfig().replace(rotations=4)
+        assert config.rotations == 4
         with pytest.raises(MVPPError):
-            config.replace(workers=-1)
+            config.replace(rotations=0)
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"strategy": ""},
             {"rotations": 0},
-            {"workers": -1},
-            {"executor": "fibers"},
+            {"engine": "fibers"},
+            {"adaptive": "on"},
             {"maintenance_trigger": "sometimes"},
         ],
     )
@@ -67,9 +64,10 @@ class TestDesignConfig:
             == "per-base"
         )
 
-    def test_workers_zero_means_auto(self):
-        config = DesignConfig(workers=0)
-        assert config.parallel  # auto-sized pools are parallel
+    @pytest.mark.parametrize("removed", [{"workers": 2}, {"executor": "thread"}])
+    def test_parallel_fields_are_gone(self, removed):
+        with pytest.raises(TypeError):
+            DesignConfig(**removed)
 
 
 class TestStrategyRegistry:
@@ -160,14 +158,21 @@ class TestLegacyCallShapes:
         from repro.cli import build_parser, design_config
 
         args = build_parser().parse_args(
-            ["design", "--workers", "4", "--parallel", "thread",
-             "--no-cost-cache", "--strategy", "greedy"]
+            ["design", "--no-cost-cache", "--strategy", "greedy"]
         )
         config = design_config(args)
         assert config == DesignConfig(
-            strategy="greedy", workers=4, executor="thread", cache=False,
-            engine="vectorized",
+            strategy="greedy", cache=False, engine="vectorized"
         )
+
+    @pytest.mark.parametrize("flag", [["--workers", "4"], ["--parallel", "thread"]])
+    def test_parallel_flags_are_gone(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["design", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPositionalBoolShims:

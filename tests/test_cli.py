@@ -478,7 +478,7 @@ class TestShardingSimulation:
         assert document["ok"] is True
         assert document["rows_identical"] is True
         assert document["pruning_wins"] is True
-        assert document["refresh"]["identical_across_workers"] is True
+        assert document["refresh"]["affected_only"] is True
         assert document["selective_queries"] >= 2
 
     def test_bad_shard_count_rejected(self, capsys):
