@@ -246,7 +246,13 @@ class _NaryBoolean(Expression):
 
 
 class And(_NaryBoolean):
-    """N-ary conjunction (flattened, deduplicated, order-insensitive)."""
+    """N-ary conjunction (flattened, deduplicated, order-insensitive).
+
+    AND, OR and NOT read an operand as true only when it is ``True``;
+    NULL is unknown and any other value is false.  That is the rule a
+    selection passes a row by, so splitting a conjunction into separate
+    selections never changes which rows pass.
+    """
 
     __slots__ = ()
     _tag = "and"
@@ -257,7 +263,7 @@ class And(_NaryBoolean):
             value = child.evaluate(row)
             if value is None:
                 saw_null = True
-            elif not value:
+            elif value is not True:
                 return False
         return None if saw_null else True
 
@@ -274,7 +280,7 @@ class Or(_NaryBoolean):
             value = child.evaluate(row)
             if value is None:
                 saw_null = True
-            elif value:
+            elif value is True:
                 return True
         return None if saw_null else False
 
@@ -297,7 +303,7 @@ class Not(Expression):
         value = self.operand.evaluate(row)
         if value is None:
             return None
-        return not value
+        return value is not True
 
     def substitute(self, mapping: Mapping[str, str]) -> "Not":
         return Not(self.operand.substitute(mapping))

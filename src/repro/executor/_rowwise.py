@@ -26,7 +26,7 @@ def _linear_select(source: Table, predicate: Expression) -> Table:
     """σ via linear scan: reads every block of ``source``."""
     out = Table(source.schema, source.blocking_factor, io=source.io)
     for row in source.scan(count_io=True):
-        if predicate.evaluate(row):
+        if predicate.evaluate(row) is True:
             out.insert(row)
     return out
 
@@ -75,7 +75,7 @@ def _nested_loop_join(
     for outer_row in outer.rows():
         for inner_row in inner_rows:
             merged = {**outer_row, **inner_row}
-            if condition is None or condition.evaluate(merged):
+            if condition is None or condition.evaluate(merged) is True:
                 out.insert(merged)
     return out
 
@@ -109,7 +109,7 @@ def _hash_join(
         key = tuple(row[k] for k in outer_keys)
         for match in buckets.get(key, ()):
             merged = {**row, **match}
-            if residual is None or residual.evaluate(merged):
+            if residual is None or residual.evaluate(merged) is True:
                 out.insert(merged)
     return out
 
@@ -177,7 +177,7 @@ def _sort_merge_join(
             ):
                 for index in range(run_start, run_end):
                     merged = {**left_rows[i], **right_rows[index]}
-                    if residual is None or residual.evaluate(merged):
+                    if residual is None or residual.evaluate(merged) is True:
                         out.insert(merged)
                 i += 1
     return out

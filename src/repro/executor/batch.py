@@ -9,10 +9,20 @@ unit :meth:`PhysicalOperator.batches` yields.
 The compilers translate :mod:`repro.algebra.expressions` trees into
 closures over column vectors:
 
-* :func:`compile_mask` — a selection predicate over one input becomes
-  ``fn(columns, n) -> mask`` where the mask holds SQL three-valued
-  results (``True`` / ``False`` / ``None``) per row, exactly matching
-  ``Expression.evaluate`` on the corresponding row dict.
+* :func:`compile_selection` — a selection predicate over one input
+  becomes ``fn(columns, n) -> positions``, the ascending row positions
+  it passes.  This is a *selection vector*: the caller gathers each
+  column once through it.  A top-level AND runs as a cascade.  Its
+  conjuncts run in ``And.children`` order, the first over every row,
+  each later one only over the rows every earlier conjunct left True
+  or NULL — exactly :meth:`And.evaluate`'s short-circuit, so a
+  conjunct never runs (or raises) on a row the row engine would not
+  evaluate it on.  ``column op literal`` and ``column op column`` are
+  C-level ``compress`` kernels when the values read hold no NULL.
+* :func:`compile_mask` — any other expression becomes
+  ``fn(columns, positions) -> values``: ``Expression.evaluate`` of each
+  listed row, in order, with nested AND/OR short-circuiting row by row
+  the same way.  The cascade runs it on the surviving rows only.
 * :func:`compile_pair` — a join condition becomes a scalar
   ``fn(left_row, right_row) -> value`` over *tuples* (one value per
   attribute), with column references resolved against the merged-dict
@@ -20,7 +30,12 @@ closures over column vectors:
   keys shadow outer keys, and short-name fallback searches the merged
   key set).
 
-Both compilers return ``None`` for anything they cannot translate
+**Pass rule.**  A row passes a selection, and a pair passes a join
+condition, iff the predicate evaluates to ``True`` (SQL WHERE/ON
+semantics): ``False``, NULL and any other value reject it.  Both
+engines and the oracle in :mod:`repro.executor.reference` keep it.
+
+All compilers return ``None`` for anything they cannot translate
 (an unknown node type, or a column reference the row engine would
 resolve dynamically per row); callers then fall back to row-at-a-time
 ``evaluate`` so behaviour — including raised errors — is unchanged.
@@ -29,6 +44,7 @@ resolve dynamically per row); callers then fall back to row-at-a-time
 from __future__ import annotations
 
 import operator as _operator
+from itertools import compress, repeat
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import (
@@ -46,6 +62,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "compile_mask",
     "compile_pair",
+    "compile_selection",
     "iter_batches",
     "resolve_column",
     "resolve_merged_column",
@@ -63,8 +80,10 @@ _COMPARISON_OPS = {
     ">=": _operator.ge,
 }
 
-#: ``fn(columns, n) -> vector`` — a compiled columnwise expression.
-MaskFn = Callable[[Sequence[List[Any]], int], List[Any]]
+#: ``fn(columns, positions) -> values`` — a compiled columnwise expression.
+MaskFn = Callable[[Sequence[List[Any]], Sequence[int]], List[Any]]
+#: ``fn(columns, n) -> positions`` — a compiled selection predicate.
+SelectFn = Callable[[Sequence[List[Any]], int], List[int]]
 #: ``fn(left_row, right_row) -> value`` — a compiled pairwise expression.
 PairFn = Callable[[Tuple[Any, ...], Tuple[Any, ...]], Any]
 
@@ -165,35 +184,168 @@ def resolve_merged_column(
     return (0, list(left_names).index(key))
 
 
-# ----------------------------------------------------------- 3VL combiners
-def _and3(values: Tuple[Any, ...]) -> Optional[bool]:
-    saw_null = False
-    for value in values:
-        if value is None:
-            saw_null = True
-        elif not value:
-            return False
-    return None if saw_null else True
+# ------------------------------------------------------- selection kernels
+#: ``fn(columns, live) -> (kept, nulls)`` — one conjunct of a selection
+#: run over the ascending positions ``live``: ``kept`` lists those it
+#: does not reject (True or NULL), ``nulls`` those of them it left NULL.
+ConjunctFn = Callable[
+    [Sequence[List[Any]], Sequence[int]], Tuple[Sequence[int], Sequence[int]]
+]
 
 
-def _or3(values: Tuple[Any, ...]) -> Optional[bool]:
-    saw_null = False
-    for value in values:
-        if value is None:
-            saw_null = True
-        elif value:
-            return True
-    return None if saw_null else False
+def _at(column: List[Any], positions: Sequence[int]) -> List[Any]:
+    """``column`` read at ``positions`` (the column itself for every row)."""
+    if positions == range(len(column)):
+        return column
+    return list(map(column.__getitem__, positions))
+
+
+def _comparison_kernel(
+    op, left: int, right: Optional[int], value: Any = None
+) -> ConjunctFn:
+    """``column op column`` (index ``right``) or ``column op value``.
+
+    One C-level ``compress`` over ``map(op, ...)`` when the values read
+    hold no NULL, a Python loop otherwise.
+    """
+
+    def kernel(cols, live):
+        lefts = _at(cols[left], live)
+        if right is None:
+            rights: Any = repeat(value)
+            null_free = value is not None and None not in lefts
+        else:
+            rights = _at(cols[right], live)
+            null_free = None not in lefts and None not in rights
+        if null_free:
+            return list(compress(live, map(op, lefts, rights))), ()
+        kept: List[int] = []
+        nulls: List[int] = []
+        for position, a, b in zip(live, lefts, rights):
+            if a is None or b is None:
+                kept.append(position)
+                nulls.append(position)
+            elif op(a, b):
+                kept.append(position)
+        return kept, nulls
+
+    return kernel
+
+
+def _mask_kernel(mask_fn: MaskFn) -> ConjunctFn:
+    """Any other conjunct: its :func:`compile_mask` values at ``live``."""
+
+    def kernel(cols, live):
+        kept: List[int] = []
+        nulls: List[int] = []
+        for position, value in zip(live, mask_fn(cols, live)):
+            if value is None:
+                kept.append(position)
+                nulls.append(position)
+            elif value is True:
+                kept.append(position)
+        return kept, nulls
+
+    return kernel
+
+
+def _conjunct_kernel(
+    expr: Expression, names: Tuple[str, ...]
+) -> Optional[ConjunctFn]:
+    # Comparing the engine's value types yields a bool, so the
+    # compress kernels keep exactly the True rows.
+    if isinstance(expr, Comparison) and isinstance(expr.left, ColumnRef):
+        op = _COMPARISON_OPS[expr.op]
+        left = resolve_column(expr.left.name, names)
+        if left is None:
+            return None
+        if isinstance(expr.right, Literal):
+            return _comparison_kernel(op, left, None, expr.right.value)
+        if isinstance(expr.right, ColumnRef):
+            right = resolve_column(expr.right.name, names)
+            if right is None:
+                return None
+            return _comparison_kernel(op, left, right)
+    mask_fn = compile_mask(expr, names)
+    if mask_fn is None:
+        return None
+    return _mask_kernel(mask_fn)
+
+
+def compile_selection(
+    expr: Optional[Expression], names: Sequence[str]
+) -> Optional[SelectFn]:
+    """Compile a selection predicate to ``fn(columns, n) -> positions``.
+
+    The positions are the ascending rows where ``expr.evaluate`` is
+    ``True``.  The conjuncts of a top-level AND run as a cascade in
+    ``And.children`` order: each one sees only the rows every earlier
+    conjunct left True or NULL, and a row is selected when none was
+    NULL.  ``None`` means some conjunct is not vectorizable.
+    """
+    if expr is None:
+        return None
+    names = tuple(names)
+    parts = expr.children if isinstance(expr, And) else (expr,)
+    kernels = [_conjunct_kernel(part, names) for part in parts]
+    if any(kernel is None for kernel in kernels):
+        return None
+
+    def select(cols, n):
+        live: Sequence[int] = range(n)
+        unknown: set = set()
+        for kernel in kernels:
+            live, nulls = kernel(cols, live)
+            if not live:
+                return []
+            unknown.update(nulls)
+        if unknown:
+            return [position for position in live if position not in unknown]
+        return list(live)
+
+    return select
 
 
 # ------------------------------------------------------------ mask compiler
+def _short_circuit(child_fns: List[MaskFn], stop_on: bool) -> MaskFn:
+    """AND (``stop_on=False``) or OR (``stop_on=True``) over positions.
+
+    Each child runs only on the rows no earlier child has decided, as
+    in ``And.evaluate`` / ``Or.evaluate``: a value whose truth
+    (``value is True``) is ``stop_on`` decides the row, a NULL marks it
+    unless a later child decides it.
+    """
+    undecided = not stop_on
+
+    def mask(cols, rows):
+        outcome: dict = {}
+        live = rows
+        for fn in child_fns:
+            pending: List[int] = []
+            for position, value in zip(live, fn(cols, live)):
+                if value is None:
+                    outcome[position] = None
+                    pending.append(position)
+                elif (value is True) is stop_on:
+                    outcome[position] = stop_on
+                else:
+                    pending.append(position)
+            live = pending
+            if not live:
+                break
+        return [outcome.get(position, undecided) for position in rows]
+
+    return mask
+
+
 def compile_mask(expr: Optional[Expression], names: Sequence[str]) -> Optional[MaskFn]:
     """Compile ``expr`` to a columnwise kernel over columns named ``names``.
 
-    The returned function maps (columns, row count) to a per-row vector
-    of ``expr.evaluate`` results.  ``None`` means the expression (or a
-    sub-expression) is not vectorizable; the caller must evaluate row
-    dicts instead.
+    The returned function maps (columns, ascending row positions) to
+    ``expr.evaluate`` of each of those rows, in order; only the columns
+    ``expr`` references are read at them.  ``None`` means the
+    expression (or a sub-expression) is not vectorizable; the caller
+    must evaluate row dicts instead.
     """
     if expr is None:
         return None
@@ -201,63 +353,38 @@ def compile_mask(expr: Optional[Expression], names: Sequence[str]) -> Optional[M
 
     if isinstance(expr, Literal):
         value = expr.value
-        return lambda cols, n: [value] * n
+        return lambda cols, rows: [value] * len(rows)
 
     if isinstance(expr, ColumnRef):
         index = resolve_column(expr.name, names)
         if index is None:
             return None
-        return lambda cols, n: cols[index]
+        return lambda cols, rows: _at(cols[index], rows)
 
     if isinstance(expr, Comparison):
         op = _COMPARISON_OPS[expr.op]
-        left, right = expr.left, expr.right
-        if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            index = resolve_column(left.name, names)
-            if index is None:
-                return None
-            value = right.value
-            if value is None:
-                return lambda cols, n: [None] * n
-            return lambda cols, n: [
-                None if item is None else op(item, value)
-                for item in cols[index]
-            ]
-        if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-            li = resolve_column(left.name, names)
-            ri = resolve_column(right.name, names)
-            if li is None or ri is None:
-                return None
-            return lambda cols, n: [
-                None if (a is None or b is None) else op(a, b)
-                for a, b in zip(cols[li], cols[ri])
-            ]
-        left_fn = compile_mask(left, names)
-        right_fn = compile_mask(right, names)
+        left_fn = compile_mask(expr.left, names)
+        right_fn = compile_mask(expr.right, names)
         if left_fn is None or right_fn is None:
             return None
-        return lambda cols, n: [
+        return lambda cols, rows: [
             None if (a is None or b is None) else op(a, b)
-            for a, b in zip(left_fn(cols, n), right_fn(cols, n))
+            for a, b in zip(left_fn(cols, rows), right_fn(cols, rows))
         ]
 
     if isinstance(expr, (And, Or)):
-        combine = _and3 if isinstance(expr, And) else _or3
         child_fns = [compile_mask(child, names) for child in expr.children]
         if any(fn is None for fn in child_fns):
             return None
-        return lambda cols, n: [
-            combine(values)
-            for values in zip(*[fn(cols, n) for fn in child_fns])
-        ]
+        return _short_circuit(child_fns, isinstance(expr, Or))
 
     if isinstance(expr, Not):
         child_fn = compile_mask(expr.operand, names)
         if child_fn is None:
             return None
-        return lambda cols, n: [
-            None if value is None else (not value)
-            for value in child_fn(cols, n)
+        return lambda cols, rows: [
+            None if value is None else value is not True
+            for value in child_fn(cols, rows)
         ]
 
     return None
@@ -309,16 +436,25 @@ def compile_pair(
         return comparison
 
     if isinstance(expr, (And, Or)):
-        combine = _and3 if isinstance(expr, And) else _or3
         child_fns = [
             compile_pair(child, left_names, right_names)
             for child in expr.children
         ]
         if any(fn is None for fn in child_fns):
             return None
-        return lambda lrow, rrow: combine(
-            tuple(fn(lrow, rrow) for fn in child_fns)
-        )
+        stop_on = isinstance(expr, Or)
+
+        def boolean(lrow, rrow, fns=tuple(child_fns), stop_on=stop_on):
+            saw_null = False
+            for fn in fns:
+                value = fn(lrow, rrow)
+                if value is None:
+                    saw_null = True
+                elif (value is True) is stop_on:
+                    return stop_on
+            return None if saw_null else not stop_on
+
+        return boolean
 
     if isinstance(expr, Not):
         child_fn = compile_pair(expr.operand, left_names, right_names)
@@ -329,7 +465,7 @@ def compile_pair(
             value = fn(lrow, rrow)
             if value is None:
                 return None
-            return not value
+            return value is not True
 
         return negation
 

@@ -82,6 +82,6 @@ def index_nested_loop_join(
             continue
         for match in index.lookup(key):
             merged = {**row, **match}
-            if residual is None or residual.evaluate(merged):
+            if residual is None or residual.evaluate(merged) is True:
                 out.insert(merged)
     return out

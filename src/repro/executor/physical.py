@@ -27,7 +27,6 @@ same decision stream under either engine.
 from __future__ import annotations
 
 import math
-from itertools import compress
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -38,8 +37,8 @@ from repro.algebra.expressions import Expression, column, compare
 from repro.errors import ExecutionError, StorageError
 from repro.executor.batch import (
     DEFAULT_BATCH_SIZE,
-    compile_mask,
     compile_pair,
+    compile_selection,
     iter_batches,
 )
 from repro.storage.block import block_count
@@ -296,35 +295,46 @@ class Scan(PhysicalOperator):
 
 # -------------------------------------------------------------- unary nodes
 class Filter(PhysicalOperator):
-    """σ via linear scan, evaluated as a columnwise 3VL mask."""
+    """σ via linear scan: a selection vector, then one gather per column.
+
+    The compiled :func:`~repro.executor.batch.compile_selection` kernel
+    evaluates each conjunct on the rows that survived the earlier ones;
+    a predicate it cannot compile (a column reference that does not
+    resolve) is evaluated on row dicts instead, counted as
+    ``executor.row_fallbacks{operator="filter"}``.
+    """
 
     name = "filter"
-    __slots__ = ("predicate", "_mask_fn", "_names")
+    __slots__ = ("predicate", "_select", "_names")
 
     def __init__(self, child: PhysicalOperator, predicate: Expression):
         super().__init__(child.schema, child.blocking_factor, (child,))
         self.predicate = predicate
         self._names = child.schema.attribute_names
-        self._mask_fn = compile_mask(predicate, self._names)
+        self._select = compile_selection(predicate, self._names)
 
     def _compute(self, ctx: ExecutionContext):
         columns, length = _finish_scan(_prepare(self.children[0], ctx), ctx)
-        if self._mask_fn is not None:
-            mask = self._mask_fn(columns, length)
+        if self._select is not None:
+            keep = self._select(columns, length)
         else:
             names = self._names
             evaluate = self.predicate.evaluate
-            mask = [
-                evaluate(dict(zip(names, values)))
-                for values in zip(*columns)
+            keep = [
+                position
+                for position, values in enumerate(zip(*columns))
+                if evaluate(dict(zip(names, values))) is True
             ]
-        out = [list(compress(col, mask)) for col in columns]
-        kept = len(out[0]) if out else 0
-        return out, kept
+            if ctx.record:
+                obs.metrics().counter(
+                    "executor.row_fallbacks", operator=self.name
+                ).inc()
+        take = _taker(keep, length)
+        return [take(col) for col in columns], len(keep)
 
     @property
     def label(self) -> str:
-        vectorized = "vectorized" if self._mask_fn is not None else "row-fallback"
+        vectorized = "vectorized" if self._select is not None else "row-fallback"
         return f"Filter[{L._pretty(self.predicate)}] ({vectorized})"
 
 
@@ -493,7 +503,7 @@ def _probe_filtered(buckets, keys, ocols, icols, residual_fn, outer_pos, inner_p
             continue
         outer_row = outer_rows[i]
         for j in matches:
-            if residual_fn(outer_row, inner_rows[j]):
+            if residual_fn(outer_row, inner_rows[j]) is True:
                 outer_pos.append(i)
                 inner_pos.append(j)
 
@@ -521,8 +531,8 @@ class _JoinBase(PhysicalOperator):
     def right(self) -> PhysicalOperator:
         return self.children[1]
 
-    def _pair_truthy_rowwise(self, expr, ocols, icols, candidates):
-        """Filter (i, j) candidates by merged-dict row evaluation."""
+    def _pairs_passing_rowwise(self, expr, ocols, icols, candidates):
+        """The (i, j) candidates whose merged row dict passes ``expr``."""
         lnames, rnames = self._lnames, self._rnames
         inner_dicts: Dict[int, Dict[str, Any]] = {}
         outer_dicts: Dict[int, Dict[str, Any]] = {}
@@ -536,7 +546,7 @@ class _JoinBase(PhysicalOperator):
             if idict is None:
                 idict = dict(zip(rnames, (col[j] for col in icols)))
                 inner_dicts[j] = idict
-            if expr.evaluate({**odict, **idict}):
+            if expr.evaluate({**odict, **idict}) is True:
                 out.append((i, j))
         return out
 
@@ -548,8 +558,8 @@ class NestedLoopJoin(_JoinBase):
     *evaluation* is hash-accelerated when the condition contains
     vectorizable equi-conjuncts, which provably preserves the full
     nested-loop output (pairs pruned by the hash buckets are exactly
-    those where an equi-conjunct is false or NULL, making the whole
-    conjunction falsy).  Output order stays outer-major.
+    those where an equi-conjunct is false or NULL, so the whole
+    conjunction is not True).  Output order stays outer-major.
     """
 
     name = "nested-loop-join"
@@ -656,12 +666,12 @@ class NestedLoopJoin(_JoinBase):
             inner_rows = list(zip(*icols))
             for i, outer_row in enumerate(zip(*ocols)):
                 for j, inner_row in enumerate(inner_rows):
-                    if pair_fn(outer_row, inner_row):
+                    if pair_fn(outer_row, inner_row) is True:
                         outer_pos.append(i)
                         inner_pos.append(j)
             return
         candidates = [(i, j) for i in range(o_n) for j in range(i_n)]
-        for i, j in self._pair_truthy_rowwise(
+        for i, j in self._pairs_passing_rowwise(
             self.condition, ocols, icols, candidates
         ):
             outer_pos.append(i)
@@ -793,7 +803,7 @@ class HashJoin(_JoinBase):
             for i, matches in enumerate(map(buckets.get, okeys)):
                 if matches:
                     candidates.extend((i, j) for j in matches)
-            for i, j in self._pair_truthy_rowwise(
+            for i, j in self._pairs_passing_rowwise(
                 self.residual, ocols, icols, candidates
             ):
                 outer_pos.append(i)
@@ -902,11 +912,11 @@ class MergeJoin(_JoinBase):
             outer_rows = list(zip(*ocols))
             inner_rows = list(zip(*icols))
             for i, j in candidates:
-                if residual_fn(outer_rows[i], inner_rows[j]):
+                if residual_fn(outer_rows[i], inner_rows[j]) is True:
                     outer_pos.append(i)
                     inner_pos.append(j)
         else:
-            for i, j in self._pair_truthy_rowwise(
+            for i, j in self._pairs_passing_rowwise(
                 self.residual, ocols, icols, candidates
             ):
                 outer_pos.append(i)

@@ -6,8 +6,10 @@ same block-I/O charges — for every operator, every join method, and
 every batch size (including degenerate ``batch_size=1``).  Random
 SPJ(+aggregate/sort/limit/distinct) plans over random tiny tables pin
 the property — single and two-pair equi-joins, a FLOAT key joined to an
-INTEGER one, NULL join keys on both sides, one- and two-attribute
-GROUP BY; the paper's Table-2 workload and the maintenance paths
+INTEGER one, NULL join keys on both sides, selections of one to three
+conjuncts (column-literal and column-column comparisons under all six
+operators, INTEGER columns against FLOAT literals, OR and NOT) over
+NULL-bearing columns, one- and two-attribute GROUP BY; the paper's Table-2 workload and the maintenance paths
 (DISTINCT views, self-join fallback) pin the end-to-end story.
 """
 
@@ -18,7 +20,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algebra.expressions import column, compare, literal
+from repro.algebra.expressions import Not, column, compare, literal
 from repro.algebra.operators import (
     Aggregate,
     AggregateFunction,
@@ -30,7 +32,7 @@ from repro.algebra.operators import (
     Select,
     Sort,
 )
-from repro.algebra.predicates import conjunction
+from repro.algebra.predicates import conjunction, disjunction
 from repro.catalog.datatypes import DataType
 from repro.catalog.schema import Attribute, RelationSchema
 from repro.errors import ExecutionError
@@ -121,6 +123,40 @@ def _join_condition(keys):
     )
 
 
+OPS = (">", "<", "=", "!=", ">=", "<=")
+#: Columns a selection reads; all but ``B.w`` hold NULLs in ``make_data``.
+SELECT_COLUMNS = ("A.id", "A.v", "B.a_fk", "B.w", "B.a_fl")
+INTEGER_COLUMNS = ("A.id", "A.v", "B.a_fk", "B.w")
+
+
+def _comparison(rng):
+    """``column op literal`` or ``column op column``; some INTEGER
+    columns meet a FLOAT literal (``2 = 2.0``, ``2 < 2.5``)."""
+    op = rng.choice(OPS)
+    kind = rng.random()
+    if kind < 0.5:
+        return compare(
+            rng.choice(SELECT_COLUMNS), op, literal(rng.randint(0, 5))
+        )
+    if kind < 0.75:
+        return compare(
+            rng.choice(INTEGER_COLUMNS), op, literal(rng.choice([1.0, 2.5, 3.0]))
+        )
+    left, right = rng.sample(SELECT_COLUMNS, 2)
+    return compare(left, op, column(right))
+
+
+def _conjunct(rng):
+    """One AND-factor of a generated selection: mostly a comparison,
+    sometimes an OR of two or a NOT of one."""
+    kind = rng.random()
+    if kind < 0.7:
+        return _comparison(rng)
+    if kind < 0.85:
+        return disjunction([_comparison(rng), _comparison(rng)])
+    return Not(_comparison(rng))
+
+
 def make_plan(seed, allow_limit=True):
     """A random plan exercising every operator the engines support."""
     rng = random.Random(seed)
@@ -131,9 +167,10 @@ def make_plan(seed, allow_limit=True):
         _join_condition(rng.choice(JOIN_CONDITIONS)),
     )
     if rng.random() < 0.7:
-        op = rng.choice([">", "<", "=", "!=", ">=", "<="])
-        col = rng.choice(["A.v", "B.w"])
-        plan = Select(plan, compare(col, op, literal(rng.randint(0, 5))))
+        plan = Select(
+            plan,
+            conjunction([_conjunct(rng) for _ in range(rng.randint(1, 3))]),
+        )
     shape = rng.random()
     if shape < 0.3:
         plan = Aggregate(
