@@ -8,7 +8,12 @@ out to every affected view in one pass, and subplans shared by several
 views evaluate their delta **once** (materialized to a transient
 ``__cdc_shared_*`` table and substituted into each consumer).
 
-Per-edge classification mirrors the maintainer's fallbacks exactly:
+Per-edge classification mirrors the batch maintainer's fallbacks
+(:meth:`repro.warehouse.maintenance.ViewMaintainer.incremental_refresh`)
+with one difference: the insert-only batch path merges
+self-maintainable aggregates from their delta, while this graph, which
+also carries deletes, still recomputes every aggregate view until the
+two paths are one.
 
 ========================  =======================================
 plan shape                rule
@@ -337,13 +342,7 @@ class DeltaPropagator:
         self, plan: Operator, overrides: Dict[str, Table]
     ) -> List[Dict[str, Any]]:
         overlay = OverlayDatabase(self.database, overrides)
-        delta_engine = ExecutionEngine(
-            overlay,
-            self.engine.join_method,
-            engine=self.engine.engine,
-            batch_size=self.engine.batch_size,
-        )
-        return delta_engine.execute(plan).rows()
+        return self.engine.over(overlay).execute(plan).rows()
 
     def propagate(
         self,

@@ -149,6 +149,24 @@ class ExecutionEngine:
 
         self.indexes = IndexManager()
 
+    def over(self, database: Database) -> "ExecutionEngine":
+        """An engine with this one's settings reading ``database``.
+
+        Delta and shard-union evaluations run on an overlay of this
+        engine's database.  The returned engine shares this one's
+        :class:`BuildSideCache`: the overlay reports no version for the
+        tables it substitutes, so only builds over relations it passes
+        through are stored or reused.
+        """
+        engine = ExecutionEngine(
+            database,
+            self.join_method,
+            engine=self.engine,
+            batch_size=self.batch_size,
+        )
+        engine.build_cache = self.build_cache
+        return engine
+
     # ------------------------------------------------------------ public API
     def execute(self, plan: Operator, *, engine: Optional[str] = None) -> Table:
         """Run ``plan`` and return its result table (I/O is accumulated).

@@ -26,6 +26,7 @@ same decision stream under either engine.
 
 from __future__ import annotations
 
+import heapq
 import math
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -479,6 +480,15 @@ def _null_free(keys, width: int) -> List[int]:
     return [i for i, key in enumerate(keys) if None not in key]
 
 
+def _null_positions(keys, width: int) -> List[int]:
+    """Positions whose key holds a NULL, ascending."""
+    if width == 1:
+        if None not in keys:
+            return []
+        return [i for i, key in enumerate(keys) if key is None]
+    return [i for i, key in enumerate(keys) if None in key]
+
+
 def _probe(buckets, keys, outer_pos: List[int], inner_pos: List[int]) -> None:
     """Append every (outer, inner) match of ``keys`` in outer-major order."""
     append_outer = outer_pos.append
@@ -555,15 +565,20 @@ class NestedLoopJoin(_JoinBase):
     """Block nested-loop join: ``B(outer) + B(outer)·B(inner)`` reads.
 
     The I/O model is the paper's rescan-per-outer-block formula; the
-    *evaluation* is hash-accelerated when the condition contains
-    vectorizable equi-conjuncts, which provably preserves the full
-    nested-loop output (pairs pruned by the hash buckets are exactly
-    those where an equi-conjunct is false or NULL, so the whole
-    conjunction is not True).  Output order stays outer-major.
+    *evaluation* is hash-accelerated when the condition's conjuncts, in
+    ``And.children`` order, start with vectorizable equi-conjuncts.
+    Like the row engine (and ``Filter``'s cascade), a pair runs its
+    conjuncts in that order and stops at the first false one, so
+    pruning the pairs where a leading equi-conjunct is false skips no
+    evaluation that could raise (``=`` never does).  The rest — bucket
+    matches and, when a residual follows, every pair with a NULL key
+    (an unknown equi-conjunct does not stop the evaluation) — go
+    through the remaining conjuncts in order.  The output is exactly
+    the nested loop's, outer-major.
     """
 
     name = "nested-loop-join"
-    __slots__ = ("condition", "_accel_pairs", "_residual", "_residual_fn", "_pair_fn")
+    __slots__ = ("condition", "_accel_pairs", "_residual_fn", "_pair_fn")
 
     def __init__(
         self,
@@ -574,51 +589,44 @@ class NestedLoopJoin(_JoinBase):
         super().__init__(left, right)
         self.condition = condition
         self._accel_pairs: List[Tuple[int, int]] = []
-        self._residual: Optional[Expression] = None
         self._residual_fn = None
         self._pair_fn = None
         if condition is None:
             return
         self._pair_fn = compile_pair(condition, self._lnames, self._rnames)
         pairs, residual = self._split_equi(condition)
-        if pairs:
-            residual_fn = (
-                compile_pair(residual, self._lnames, self._rnames)
-                if residual is not None
-                else None
+        # Accelerate only a fully compiled condition, so every pair the
+        # buckets do not prune runs the same kernels in the same order.
+        if pairs and self._pair_fn is not None:
+            self._accel_pairs = pairs
+            self._residual_fn = compile_pair(
+                residual, self._lnames, self._rnames
             )
-            # Accelerate only when the residual is fully compiled (or
-            # absent) so row-engine error behaviour can never diverge.
-            if residual is None or residual_fn is not None:
-                self._accel_pairs = pairs
-                self._residual = residual
-                self._residual_fn = residual_fn
 
     def _split_equi(self, condition):
+        """The leading equi-conjuncts as (outer, inner) column indices,
+        and the conjunction of the rest (still in ``And.children``
+        order)."""
         from repro.executor.batch import resolve_merged_column
 
         pairs: List[Tuple[int, int]] = []
-        residual_parts: List[Expression] = []
-        for conjunct in P.conjuncts(condition):
-            if P.is_join_predicate(conjunct):
-                left_ref = resolve_merged_column(
-                    conjunct.left.name, self._lnames, self._rnames
-                )
-                right_ref = resolve_merged_column(
-                    conjunct.right.name, self._lnames, self._rnames
-                )
-                if (
-                    left_ref is not None
-                    and right_ref is not None
-                    and left_ref[0] != right_ref[0]
-                ):
-                    if left_ref[0] == 0:
-                        pairs.append((left_ref[1], right_ref[1]))
-                    else:
-                        pairs.append((right_ref[1], left_ref[1]))
-                    continue
-            residual_parts.append(conjunct)
-        return pairs, P.conjunction(residual_parts)
+        parts = P.conjuncts(condition)
+        for conjunct in parts:
+            if not P.is_join_predicate(conjunct):
+                break
+            left_ref = resolve_merged_column(
+                conjunct.left.name, self._lnames, self._rnames
+            )
+            right_ref = resolve_merged_column(
+                conjunct.right.name, self._lnames, self._rnames
+            )
+            if left_ref is None or right_ref is None or left_ref[0] == right_ref[0]:
+                break
+            if left_ref[0] == 0:
+                pairs.append((left_ref[1], right_ref[1]))
+            else:
+                pairs.append((right_ref[1], left_ref[1]))
+        return pairs, P.conjunction(list(parts[len(pairs):]))
 
     def _compute(self, ctx: ExecutionContext):
         left_prep = _prepare(self.left, ctx)
@@ -648,17 +656,38 @@ class NestedLoopJoin(_JoinBase):
 
     def _probe_buckets(self, ocols, icols, outer_pos, inner_pos):
         width = len(self._accel_pairs)
-        buckets = _hash_buckets(
-            _key_vector(icols, [j for _, j in self._accel_pairs]), width
-        )
+        ikeys = _key_vector(icols, [j for _, j in self._accel_pairs])
         okeys = _key_vector(ocols, [i for i, _ in self._accel_pairs])
-        residual_fn = self._residual_fn
-        if residual_fn is None:
+        buckets = _hash_buckets(ikeys, width)
+        if self._residual_fn is None:
             _probe(buckets, okeys, outer_pos, inner_pos)
-        else:
+            return
+        inner_nulls = _null_positions(ikeys, width)
+        outer_nulls = _null_positions(okeys, width)
+        if not inner_nulls and not outer_nulls:
             _probe_filtered(
-                buckets, okeys, ocols, icols, residual_fn, outer_pos, inner_pos
+                buckets, okeys, ocols, icols, self._residual_fn,
+                outer_pos, inner_pos,
             )
+            return
+        # A NULL key leaves its equi-conjunct unknown, not false, so the
+        # row engine goes on to the residual: run the whole condition
+        # on those pairs too (it cannot pass them, but it may raise).
+        pair_fn = self._pair_fn
+        outer_rows = list(zip(*ocols))
+        inner_rows = list(zip(*icols))
+        every_inner = range(len(inner_rows))
+        outer_nulls = set(outer_nulls)
+        for i, key in enumerate(okeys):
+            if i in outer_nulls:
+                candidates = every_inner
+            else:
+                candidates = heapq.merge(buckets.get(key, ()), inner_nulls)
+            outer_row = outer_rows[i]
+            for j in candidates:
+                if pair_fn(outer_row, inner_rows[j]) is True:
+                    outer_pos.append(i)
+                    inner_pos.append(j)
 
     def _full_loop(self, ocols, o_n, icols, i_n, outer_pos, inner_pos):
         pair_fn = self._pair_fn
@@ -745,11 +774,14 @@ class HashJoin(_JoinBase):
             return None
         parts = []
         for name in self._base_relations:
+            version = database.version(name)
+            if version is None:
+                return None  # an overlay substitute: never cached
             try:
                 table = database.table(name)
             except ExecutionError:
                 return None
-            parts.append((name, database.version(name), table.cardinality))
+            parts.append((name, version, table.cardinality))
         return tuple(parts)
 
     def _compute(self, ctx: ExecutionContext):
@@ -1197,7 +1229,11 @@ class BuildSideCache:
     attributes; an entry is valid only while every base relation it
     reads still has the same registration version (bumped by
     ``Database.register``/``drop`` — the freshness epoch) and
-    cardinality.  Invalidation mirrors ``CostCache``: warehouses call
+    cardinality.  A relation with no version (``None``: a table an
+    overlay substitutes, such as a delta, a rewound table or a shared
+    cdc delta) makes the build neither stored nor looked up, so one
+    cache serves the warehouse engine and every delta evaluation over
+    it.  Invalidation mirrors ``CostCache``: warehouses call
     :meth:`invalidate` alongside ``IndexManager.invalidate`` whenever a
     relation or view changes.
 

@@ -301,6 +301,60 @@ class TestPassRule:
         assert _run(plan, tables, schemas, mode) == []
 
 
+class TestNestedLoopConjunctOrder:
+    """Nested-loop joins run a pair's conjuncts in ``And.children``
+    order, hash-accelerated or not: ``A.s > 3`` raises TypeError on any
+    pair it reaches."""
+
+    SCHEMA = RelationSchema(
+        "A",
+        [Attribute("A.a", DataType.INTEGER), Attribute("A.s", DataType.STRING)],
+    )
+    OTHER = RelationSchema("B", [Attribute("B.x", DataType.INTEGER)])
+    SCHEMAS = {"A": SCHEMA, "B": OTHER}
+    RAISES = compare("A.s", ">", literal(3))
+
+    def _plan(self, *conjuncts):
+        condition = conjunction(list(conjuncts))
+        assert list(condition.children) == list(conjuncts)  # canonical order
+        return Join(
+            Relation("A", self.SCHEMA), Relation("B", self.OTHER), condition
+        )
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_a_residual_before_the_equi_conjunct_sees_every_pair(self, mode):
+        schema = RelationSchema(
+            "A",
+            [Attribute("A.s", DataType.STRING), Attribute("A.z", DataType.INTEGER)],
+        )
+        condition = conjunction([self.RAISES, compare("A.z", "=", column("B.x"))])
+        assert condition.children[0] is self.RAISES
+        plan = Join(Relation("A", schema), Relation("B", self.OTHER), condition)
+        tables = {"A": [{"A.s": "a", "A.z": 1}], "B": [{"B.x": 2}]}
+        with pytest.raises(TypeError):
+            _run(plan, tables, {"A": schema, "B": self.OTHER}, mode)
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_a_false_equi_conjunct_stops_the_pair(self, mode):
+        plan = self._plan(compare("A.a", "=", column("B.x")), self.RAISES)
+        tables = {"A": [{"A.a": 1, "A.s": "a"}], "B": [{"B.x": 2}]}
+        assert _run(plan, tables, self.SCHEMAS, mode) == []
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            {"A": [{"A.a": None, "A.s": "a"}], "B": [{"B.x": 2}]},
+            {"A": [{"A.a": 1, "A.s": "a"}], "B": [{"B.x": None}]},
+        ],
+        ids=["outer-null", "inner-null"],
+    )
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_a_null_equi_key_does_not_stop_the_pair(self, mode, tables):
+        plan = self._plan(compare("A.a", "=", column("B.x")), self.RAISES)
+        with pytest.raises(TypeError):
+            _run(plan, tables, self.SCHEMAS, mode)
+
+
 class TestRowFallback:
     """A predicate whose column does not resolve runs on row dicts, counted.
 

@@ -1,4 +1,4 @@
-"""`_OverlayDatabase` forwarding contracts.
+"""`OverlayDatabase` forwarding contracts.
 
 The overlay substitutes selected tables and reads everything else
 through the real database — sharing its I/O counter and, critically,
@@ -42,6 +42,16 @@ class TestOverlayUnit:
         )
         assert "Order" in overlay and "Customer" in overlay
         assert "NoSuch" not in overlay
+
+    def test_substitutes_have_no_version(self):
+        warehouse, _ = _plain_warehouse()
+        database = warehouse.database
+        base = database.table("Order")
+        overlay = OverlayDatabase(
+            database, {"Order": Table(base.schema, base.blocking_factor)}
+        )
+        assert overlay.version("Order") is None
+        assert overlay.version("Customer") == database.version("Customer") > 0
 
     def test_io_counter_is_shared(self):
         warehouse, _ = _plain_warehouse()
