@@ -14,7 +14,9 @@ The subsystem has four layers (see ``docs/streaming.md``):
   degradation to batch refresh.
 
 Entry point: :meth:`repro.warehouse.warehouse.DataWarehouse.
-enable_streaming`.
+enable_streaming`.  The seeded end-to-end streaming run
+(``repro simulate --stream``) is
+:func:`repro.warehouse.simulation.simulate_lifecycle`.
 """
 
 from repro.cdc.changelog import (
@@ -37,7 +39,6 @@ from repro.cdc.propagation import (
     SharedDelta,
     ViewDelta,
 )
-from repro.cdc.simulate import StreamingSimulationResult, simulate_streaming
 from repro.cdc.streaming import DrainReport, StreamingMaintainer
 
 __all__ = [
@@ -59,7 +60,5 @@ __all__ = [
     "SharedDelta",
     "StreamingMaintainer",
     "StreamingPolicy",
-    "StreamingSimulationResult",
     "ViewDelta",
-    "simulate_streaming",
 ]

@@ -10,6 +10,8 @@ Usage (also via ``python -m repro``)::
     repro profile  --workload paper       # instrumented end-to-end run
     repro refresh  --failure-rate 0.3     # resilient scheduler refresh pass
     repro simulate --faults               # seeded fault-injection lifecycle
+    repro simulate --stream --faults      # same lifecycle, CDC streaming drains
+    repro simulate --shards 8             # pruned vs unpruned sharded serving
     repro simulate --drift                # static vs adaptive vs eager redesign
     repro adapt    --windows 8            # online drift-detection replay
     repro trace    --events               # flight-recorder journal as JSONL
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate_parser = commands.add_parser(
         "simulate",
-        help="end-to-end lifecycle simulation (updates, refreshes, queries)",
+        help="end-to-end lifecycle simulation (writes, queries, maintenance)",
     )
     _add_workload_arguments(simulate_parser)
     simulate_parser.add_argument(
@@ -277,7 +279,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_parser.add_argument(
         "--rounds", type=int, default=3,
-        help="update/serve/refresh rounds to simulate (default 3)",
+        help="write/serve/maintain rounds to simulate (default 3)",
+    )
+    simulate_parser.add_argument(
+        "--stream", action="store_true",
+        help="maintain views by CDC streaming drains instead of deferred "
+             "scheduler refreshes",
+    )
+    simulate_parser.add_argument(
+        "--max-lag", type=int, default=None, metavar="N",
+        help="with --stream: StreamingPolicy.max_lag_records "
+             "backpressure bound",
+    )
+    simulate_parser.add_argument(
+        "--coalesce", type=int, default=None, metavar="N",
+        help="with --stream: StreamingPolicy.coalesce_records batch size",
+    )
+    simulate_parser.add_argument(
+        "--retention", type=int, default=None, metavar="N",
+        help="with --stream: change-log ring capacity per relation",
     )
     simulate_parser.add_argument(
         "--scale", type=float, default=0.02,
@@ -310,44 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--windows-per-phase", type=int, default=4,
         help="with --drift: observation windows per workload phase "
              "(default 4; the replay runs three phases)",
-    )
-
-    stream_parser = commands.add_parser(
-        "stream",
-        help="CDC streaming maintenance: ingest, coalesce, drain, verify",
-    )
-    _add_workload_arguments(stream_parser)
-    stream_parser.add_argument(
-        "--faults", action="store_true",
-        help="inject seeded storage faults during delta propagation",
-    )
-    stream_parser.add_argument(
-        "--failure-rate", type=float, default=0.3,
-        help="injected failure rate when --faults is on (default 0.3)",
-    )
-    stream_parser.add_argument(
-        "--rounds", type=int, default=3,
-        help="ingest/serve/drain rounds to simulate (default 3)",
-    )
-    stream_parser.add_argument(
-        "--scale", type=float, default=0.02,
-        help="fraction of the statistics' cardinalities to load (default 0.02)",
-    )
-    stream_parser.add_argument(
-        "--max-lag", type=int, default=None, metavar="N",
-        help="StreamingPolicy.max_lag_records backpressure bound",
-    )
-    stream_parser.add_argument(
-        "--coalesce", type=int, default=None, metavar="N",
-        help="StreamingPolicy.coalesce_records batch size",
-    )
-    stream_parser.add_argument(
-        "--retention", type=int, default=None, metavar="N",
-        help="change-log ring capacity per relation",
-    )
-    stream_parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
     )
 
     adapt_parser = commands.add_parser(
@@ -399,12 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--rules", action="store_true",
         help="list the rule catalog and exit",
-    )
-    lint_parser.add_argument(
-        "--cache-dir", metavar="DIR", nargs="?", default=None,
-        const=".repro-lint-cache",
-        help="cache per-file results under DIR keyed by content hash "
-             "(--self only; default DIR: .repro-lint-cache)",
     )
     lint_parser.add_argument(
         "--baseline", metavar="FILE", default=None,
@@ -885,21 +861,32 @@ def command_simulate(args: argparse.Namespace) -> int:
         return _simulate_drift(args)
     if getattr(args, "shards", 0):
         return _simulate_sharding(args)
+    # --drift replays the cost model over no stored tables and --shards
+    # checks pruned against unpruned serving; neither runs the write /
+    # serve / maintain lifecycle below, so each keeps its own runner.
 
-    from repro.resilience import simulate_faults
+    from repro.cdc import DEFAULT_STREAMING_POLICY
+    from repro.warehouse.simulation import simulate_lifecycle
 
-    if args.rounds < 1:
-        raise ReproError(f"--rounds must be >= 1: {args.rounds}")
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive: {args.scale}")
+    overrides = {
+        field: value
+        for field, value in (
+            ("max_lag_records", args.max_lag),
+            ("coalesce_records", args.coalesce),
+            ("retention", args.retention),
+        )
+        if value is not None
+    }
+    policy = DEFAULT_STREAMING_POLICY.replace(**overrides) if overrides else None
     failure_rate = args.failure_rate if args.faults else 0.0
-    if not 0.0 <= failure_rate <= 1.0:
-        raise ReproError(f"--failure-rate must be in [0, 1]: {failure_rate}")
     workload, rows = resolve_workload_rows(args, args.scale)
-    result = simulate_faults(
+    result = simulate_lifecycle(
+        maintenance="stream" if args.stream else "defer",
         failure_rate=failure_rate,
         seed=args.seed,
         rounds=args.rounds,
+        scale=args.scale,
+        streaming_policy=policy,
         workload=workload,
         rows=rows,
     )
@@ -907,79 +894,41 @@ def command_simulate(args: argparse.Namespace) -> int:
         print(json.dumps(result.to_dict(), indent=2))
         return 0 if result.ok else 1
     document = result.to_dict()
-    print(f"simulated {result.rounds} rounds on {result.workload} "
-          f"(failure rate {failure_rate:g}, seed {result.seed}):")
+    print(f"simulated {result.rounds} {result.maintenance} rounds on "
+          f"{result.workload} (failure rate {failure_rate:g}, "
+          f"seed {result.seed}):")
+    changes = document["changes"]
+    print(f"  writes: {changes['inserts']} inserts / "
+          f"{changes['deletes']} deletes")
+    if args.stream:
+        drains = document["drains"]
+        print(f"  change log: {changes['appended']} appended, "
+              f"{changes['dropped']} dropped")
+        print(f"  drains: {drains['total']} total "
+              f"({drains['backpressure']} from backpressure), "
+              f"{drains['coalesced']} records coalesced away")
+        print(f"  views: {drains['views_updated']} delta-updated / "
+              f"{drains['views_recomputed']} degraded to batch / "
+              f"{drains['views_failed']} failed")
     refreshes = document["refreshes"]
-    print(f"  refreshes: {refreshes['succeeded']} ok / "
+    print(f"  scheduler refreshes: {refreshes['succeeded']} ok / "
           f"{refreshes['failed']} failed / {refreshes['skipped']} skipped "
-          f"({refreshes['retries']} retries over {refreshes['attempted']} attempts)")
-    print(f"  faults injected: {result.faults_injected.get('storage_faults', 0):g} "
-          f"storage, {result.faults_injected.get('comm_faults', 0):g} comm")
+          f"({refreshes['retries']} retries over "
+          f"{refreshes['attempted']} attempts)")
+    print(f"  faults injected: "
+          f"{result.faults_injected.get('storage_faults', 0):g} storage, "
+          f"{result.faults_injected.get('comm_faults', 0):g} comm")
+    print(f"  staleness: max {result.staleness_max} "
+          f"(samples {result.staleness_samples})")
     queries = document["queries"]
     print(f"  queries: {queries['fresh']} fresh / {queries['stale']} stale / "
           f"{queries['degraded']} degraded "
-          f"({queries['consistency_violations']} consistency violations)")
-    print(f"  converged: {result.converged} "
-          f"(epochs {result.final_epochs}, {result.final_ticks:.1f} ticks)")
-    return 0 if result.ok else 1
-
-
-def command_stream(args: argparse.Namespace) -> int:
-    from repro.cdc import DEFAULT_STREAMING_POLICY
-    from repro.cdc.simulate import simulate_streaming
-
-    if args.rounds < 1:
-        raise ReproError(f"--rounds must be >= 1: {args.rounds}")
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive: {args.scale}")
-    failure_rate = args.failure_rate if args.faults else 0.0
-    if not 0.0 <= failure_rate <= 1.0:
-        raise ReproError(f"--failure-rate must be in [0, 1]: {failure_rate}")
-    overrides = {}
-    if args.max_lag is not None:
-        overrides["max_lag_records"] = args.max_lag
-    if args.coalesce is not None:
-        overrides["coalesce_records"] = args.coalesce
-    if args.retention is not None:
-        overrides["retention"] = args.retention
-    policy = DEFAULT_STREAMING_POLICY
-    if overrides:
-        policy = policy.replace(**overrides)
-    workload, rows = resolve_workload_rows(args, args.scale)
-    result = simulate_streaming(
-        failure_rate=failure_rate,
-        seed=args.seed,
-        rounds=args.rounds,
-        policy=policy,
-        workload=workload,
-        rows=rows,
-    )
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0 if result.ok else 1
-    document = result.to_dict()
-    print(f"streamed {result.rounds} rounds on {result.workload} "
-          f"(failure rate {failure_rate:g}, seed {result.seed}):")
-    changes = document["changes"]
-    print(f"  changes: {changes['appended']} appended "
-          f"({changes['inserts']} inserts / {changes['deletes']} deletes), "
-          f"{changes['dropped']} dropped")
-    drains = document["drains"]
-    print(f"  drains: {drains['total']} total "
-          f"({drains['backpressure']} from backpressure), "
-          f"{drains['coalesced']} records coalesced away")
-    print(f"  views: {drains['views_updated']} delta-updated / "
-          f"{drains['views_recomputed']} degraded to batch / "
-          f"{drains['views_failed']} failed")
-    print(f"  staleness: max {result.staleness_max} records "
-          f"(samples {result.staleness_samples})")
-    if result.faults_injected:
-        print(f"  faults injected: "
-              f"{result.faults_injected.get('storage_faults', 0):g} storage")
-    print(f"  consistency: {result.consistency_violations} violations, "
+          f"({queries['violations']} consistency violations)")
+    print(f"  views vs recompute: {result.view_violations} violations, "
           f"{result.partial_writes} partial writes")
     print(f"  converged: {result.converged} "
-          f"({result.final_ticks:.1f} ticks, digest {result.digest})")
+          f"(epochs {result.final_epochs}, {result.final_ticks:.1f} ticks, "
+          f"digest {result.digest})")
     return 0 if result.ok else 1
 
 
@@ -1144,9 +1093,7 @@ def command_lint(args: argparse.Namespace) -> int:
                 [Path(p) for p in args.path], base=Path.cwd()
             )
         else:
-            report = lint_mod.lint_self_incremental(
-                cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            )
+            report = lint_mod.lint_self()
     else:
         workload = resolve_workload(args)
         config = design_config(args)
@@ -1316,7 +1263,6 @@ COMMANDS = {
     "dot": command_dot,
     "refresh": command_refresh,
     "simulate": command_simulate,
-    "stream": command_stream,
     "adapt": command_adapt,
     "lint": command_lint,
     "calibrate": command_calibrate,

@@ -1,6 +1,7 @@
 """End-to-end sharding simulation: pruning, replicas, partition refresh.
 
-The sharded counterpart of :mod:`repro.resilience.simulate`: build a
+The sharded counterpart of
+:func:`repro.warehouse.simulation.simulate_lifecycle`: build a
 warehouse, partition its base relations horizontally, and verify the
 two contracts the partition layer makes —
 
@@ -32,6 +33,7 @@ from repro.distributed.partition import (
 from repro.errors import DistributedError
 from repro.mvpp.config import DesignConfig
 from repro.sql.translator import parse_query
+from repro.warehouse.simulation import row_multiset
 from repro.workload.spec import Workload
 
 __all__ = ["ShardingSimulationResult", "choose_schemes", "simulate_sharding"]
@@ -218,12 +220,6 @@ def _is_numeric(
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _canonical_rows(table) -> Tuple[Tuple[Tuple[str, Any], ...], ...]:
-    return tuple(
-        sorted(tuple(sorted(row.items())) for row in table.rows())
-    )
-
-
 def _build_warehouse(
     workload: Workload,
     rows: Mapping[str, Sequence[Mapping[str, Any]]],
@@ -303,8 +299,8 @@ def simulate_sharding(
     for spec in workload.queries:
         pruned = warehouse.serve(spec.name, prune=True)
         unpruned = warehouse.serve(spec.name, prune=False)
-        identical = _canonical_rows(pruned.table) == _canonical_rows(
-            unpruned.table
+        identical = row_multiset(pruned.table.rows()) == row_multiset(
+            unpruned.table.rows()
         )
         rows_identical &= identical
         is_selective = pruned.partitions_pruned > 0

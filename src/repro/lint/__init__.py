@@ -24,8 +24,8 @@ purity of everything reachable from the cost models (E201-E203).
 All layers share one vocabulary (:class:`Diagnostic`, :class:`Severity`,
 :class:`LintReport`), one string-keyed rule registry (mirroring the
 selection-strategy registry), the emitters in :mod:`repro.lint.emitters`
-(text / JSON / SARIF / GitHub annotations), and the incremental engine
-in :mod:`repro.lint.incremental` (content-hash caching and
+(text / JSON / SARIF / GitHub annotations), and the package runner in
+:mod:`repro.lint.incremental` (whole-package runs and ratchet
 baselines).  The rule catalog is documented in ``docs/lint.md``.
 """
 
@@ -72,7 +72,6 @@ from repro.lint.effects import lint_effects
 from repro.lint.incremental import (
     apply_baseline,
     lint_package,
-    lint_self_incremental,
     load_baseline,
     write_baseline,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "lint_package",
     "lint_paths",
     "lint_self",
-    "lint_self_incremental",
     "lint_source",
     "lint_streaming_policy",
     "lint_workload",

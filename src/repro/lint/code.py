@@ -480,11 +480,10 @@ def lint_paths(paths: Sequence[Path], base: Optional[Path] = None) -> LintReport
 def lint_self() -> LintReport:
     """Lint the installed ``repro`` package sources (``--self``).
 
-    Since lint v2 this runs all three source analyzers — the per-file
-    code rules plus the package-wide concurrency (X1xx) and effect
-    (E2xx) passes — by delegating to the incremental engine (uncached
-    here; the CLI threads cache/diff options through directly).
+    Runs all three source analyzers: the per-file code rules plus the
+    package-wide concurrency (X1xx) and effect (E2xx) passes.
     """
-    from repro.lint.incremental import lint_self_incremental
+    import repro
+    from repro.lint.incremental import lint_package
 
-    return lint_self_incremental()
+    return lint_package(Path(repro.__file__).resolve().parent)

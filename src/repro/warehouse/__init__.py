@@ -10,10 +10,12 @@ from repro.warehouse.maintenance import (
 from repro.warehouse.rewriter import rewrite_with_views
 from repro.warehouse.view import MaterializedView
 from repro.warehouse.simulation import (
+    LifecycleResult,
     SimulationConfig,
     SimulationReport,
     WarehouseSimulator,
     simulate,
+    simulate_lifecycle,
 )
 from repro.warehouse.warehouse import DataWarehouse, QueryProfile, ServedResult
 
@@ -22,6 +24,7 @@ __all__ = [
     "QueryProfile",
     "ServedResult",
     "INCREMENTAL",
+    "LifecycleResult",
     "MaterializedView",
     "MigrationPlan",
     "plan_migration",
@@ -31,6 +34,7 @@ __all__ = [
     "SimulationReport",
     "WarehouseSimulator",
     "simulate",
+    "simulate_lifecycle",
     "ViewMaintainer",
     "rewrite_with_views",
 ]

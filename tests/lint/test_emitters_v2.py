@@ -1,8 +1,10 @@
 """Emitter v2 tests: SARIF partialFingerprints, the GitHub annotation
-format, JSON fingerprints, and the new CLI flags (``--cache-dir``,
-``--baseline``, ``--write-baseline``, ``--format github``)."""
+format, JSON fingerprints, and the CLI flags ``--baseline``,
+``--write-baseline`` and ``--format github``."""
 
 import json
+
+import pytest
 
 from repro.cli import main
 from repro.lint import (
@@ -133,11 +135,11 @@ class TestCliFlags:
         assert "::error file=" in out
         assert "title=C102" in out
 
-    def test_self_with_cache_dir_runs_twice(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        assert main(["lint", "--self", "--cache-dir", str(cache)]) == 0
-        assert any(cache.glob("*.json"))
-        assert main(["lint", "--self", "--cache-dir", str(cache)]) == 0
+    def test_cache_dir_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--self", "--cache-dir", "cache"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_write_then_apply_baseline(self, tmp_path, capsys):
         bad = tmp_path / "pkg"

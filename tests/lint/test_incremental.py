@@ -1,15 +1,12 @@
-"""Tests for the incremental lint engine: content-hash caching and
-baseline add/expire semantics."""
+"""Tests for whole-package lint runs and baseline add/expire
+semantics."""
 
 import json
 
 import pytest
 
-from repro import obs
 from repro.lint.incremental import (
     apply_baseline,
-    engine_fingerprint,
-    file_key,
     lint_package,
     load_baseline,
     write_baseline,
@@ -27,46 +24,6 @@ def package(tmp_path):
     (root / "a.py").write_text(UNSEEDED)
     (root / "b.py").write_text(CLEAN)
     return root
-
-
-@pytest.fixture
-def counters():
-    obs.enable(reset=True)
-    yield lambda name: obs.metrics().counter(name).value
-    obs.disable()
-
-
-class TestResultCache:
-    def test_cold_then_warm(self, package, tmp_path, counters):
-        cache_dir = tmp_path / "cache"
-        first = lint_package(package, base=package.parent, cache_dir=cache_dir)
-        assert counters("lint.cache.misses") == 3  # 2 files + package entry
-        assert counters("lint.cache.hits") == 0
-        assert counters("lint.files_analyzed") == 2
-
-        second = lint_package(package, base=package.parent, cache_dir=cache_dir)
-        assert counters("lint.cache.hits") == 3
-        assert counters("lint.files_analyzed") == 2  # no new analysis
-        assert [d.rule for d in second.diagnostics] == [
-            d.rule for d in first.diagnostics
-        ]
-        assert second.suppressed == first.suppressed
-
-    def test_edit_invalidates_only_that_file(self, package, tmp_path, counters):
-        cache_dir = tmp_path / "cache"
-        lint_package(package, base=package.parent, cache_dir=cache_dir)
-        (package / "b.py").write_text(MUTABLE_DEFAULT)
-        report = lint_package(package, base=package.parent, cache_dir=cache_dir)
-        # a.py hits; b.py and the package digest miss.
-        assert counters("lint.cache.hits") == 1
-        assert counters("lint.files_analyzed") == 3  # 2 cold + 1 re-analyzed
-        assert {d.rule for d in report.diagnostics} == {"C103", "C105"}
-
-    def test_cache_key_covers_engine_identity(self, package):
-        key = file_key(CLEAN)
-        assert key != file_key(MUTABLE_DEFAULT)
-        assert engine_fingerprint() in ("", engine_fingerprint())  # stable
-        assert file_key(CLEAN) == key  # deterministic
 
 
 class TestBaseline:

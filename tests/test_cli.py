@@ -234,7 +234,9 @@ class TestSimulateCommand:
         )
         document = json.loads(capsys.readouterr().out)
         assert document["converged"] is True
-        assert document["queries"]["consistency_violations"] == 0
+        assert document["queries"]["violations"] == 0
+        assert document["view_violations"] == 0
+        assert document["partial_writes"] == 0
         assert document["refreshes"]["succeeded"] >= 2
 
     def test_without_faults_flag_runs_failure_free(self, capsys):
@@ -523,11 +525,14 @@ class TestDesignSharding:
 
 
 class TestStreamCommand:
+    """``repro simulate --stream``: the lifecycle under CDC drains."""
+
     def test_fault_free_run_converges(self, capsys):
         assert (
             main(
                 [
-                    "stream",
+                    "simulate",
+                    "--stream",
                     "--workload", "paper",
                     "--scale", "0.02",
                     "--rounds", "2",
@@ -545,7 +550,8 @@ class TestStreamCommand:
         assert (
             main(
                 [
-                    "stream",
+                    "simulate",
+                    "--stream",
                     "--faults",
                     "--failure-rate", "0.3",
                     "--workload", "paper",
@@ -560,7 +566,8 @@ class TestStreamCommand:
         document = json.loads(capsys.readouterr().out)
         assert document["ok"] is True
         assert document["converged"] is True
-        assert document["consistency_violations"] == 0
+        assert document["queries"]["violations"] == 0
+        assert document["view_violations"] == 0
         assert document["partial_writes"] == 0
         assert sum(document["faults_injected"].values()) > 0
 
@@ -568,7 +575,8 @@ class TestStreamCommand:
         assert (
             main(
                 [
-                    "stream",
+                    "simulate",
+                    "--stream",
                     "--workload", "paper",
                     "--scale", "0.02",
                     "--rounds", "1",
@@ -586,5 +594,11 @@ class TestStreamCommand:
         assert document["drains"]["total"] >= 1
 
     def test_bad_rounds_rejected(self, capsys):
-        assert main(["stream", "--rounds", "0"]) == 1
-        assert "--rounds" in capsys.readouterr().err
+        assert main(["simulate", "--stream", "--rounds", "0"]) == 1
+        assert "rounds must be >= 1" in capsys.readouterr().err
+
+    def test_stream_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream", "--rounds", "1"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'stream'" in capsys.readouterr().err
