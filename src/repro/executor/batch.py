@@ -18,7 +18,10 @@ closures over column vectors:
   or NULL — exactly :meth:`And.evaluate`'s short-circuit, so a
   conjunct never runs (or raises) on a row the row engine would not
   evaluate it on.  ``column op literal`` and ``column op column`` are
-  C-level ``compress`` kernels when the values read hold no NULL.
+  C-level ``compress`` kernels when the values read hold no NULL.  A
+  caller holding a position index passes in the positions of a
+  leading ``column = literal`` conjunct instead
+  (:func:`leading_equality`).
 * :func:`compile_mask` — any other expression becomes
   ``fn(columns, positions) -> values``: ``Expression.evaluate`` of each
   listed row, in order, with nested AND/OR short-circuiting row by row
@@ -64,6 +67,7 @@ __all__ = [
     "compile_pair",
     "compile_selection",
     "iter_batches",
+    "leading_equality",
     "resolve_column",
     "resolve_merged_column",
 ]
@@ -272,6 +276,40 @@ def _conjunct_kernel(
     return _mask_kernel(mask_fn)
 
 
+def _conjuncts(expr: Expression) -> Tuple[Expression, ...]:
+    return expr.children if isinstance(expr, And) else (expr,)
+
+
+def leading_equality(
+    expr: Optional[Expression], names: Sequence[str]
+) -> Optional[Tuple[str, Any]]:
+    """``(column name, value)`` of a leading ``column = literal`` conjunct.
+
+    Only a value a position index answers exactly qualifies: not NULL
+    (which no row equals) and equal to itself (not NaN).
+    Comparing the engine's value types with ``==`` agrees with dict
+    lookup, so the index's hits for the value are exactly the rows the
+    conjunct leaves True; its NULL rows are the ones it leaves NULL.
+    """
+    if expr is None:
+        return None
+    lead = _conjuncts(expr)[0]
+    if not (
+        isinstance(lead, Comparison)
+        and lead.op == "="
+        and isinstance(lead.left, ColumnRef)
+        and isinstance(lead.right, Literal)
+    ):
+        return None
+    value = lead.right.value
+    if value is None or value != value:
+        return None
+    index = resolve_column(lead.left.name, tuple(names))
+    if index is None:
+        return None
+    return names[index], value
+
+
 def compile_selection(
     expr: Optional[Expression], names: Sequence[str]
 ) -> Optional[SelectFn]:
@@ -282,20 +320,28 @@ def compile_selection(
     ``And.children`` order: each one sees only the rows every earlier
     conjunct left True or NULL, and a row is selected when none was
     NULL.  ``None`` means some conjunct is not vectorizable.
+
+    The returned function also takes ``first``, the ascending
+    ``(kept, nulls)`` positions of the leading conjunct when the caller
+    already has them (a position-index lookup, see
+    :func:`leading_equality`); the cascade then starts at the second
+    conjunct.  The lists passed in are only read.
     """
     if expr is None:
         return None
     names = tuple(names)
-    parts = expr.children if isinstance(expr, And) else (expr,)
-    kernels = [_conjunct_kernel(part, names) for part in parts]
+    kernels = [_conjunct_kernel(part, names) for part in _conjuncts(expr)]
     if any(kernel is None for kernel in kernels):
         return None
 
-    def select(cols, n):
+    def select(cols, n, first=None):
         live: Sequence[int] = range(n)
         unknown: set = set()
-        for kernel in kernels:
-            live, nulls = kernel(cols, live)
+        for step, kernel in enumerate(kernels):
+            if step == 0 and first is not None:
+                live, nulls = first
+            else:
+                live, nulls = kernel(cols, live)
             if not live:
                 return []
             unknown.update(nulls)

@@ -41,8 +41,10 @@ from repro.executor.batch import (
     compile_pair,
     compile_selection,
     iter_batches,
+    leading_equality,
 )
 from repro.storage.block import block_count
+from repro.storage.columnar import hash_groups
 from repro.storage.table import DEFAULT_BLOCKING_FACTOR, Table
 
 __all__ = [
@@ -281,6 +283,19 @@ class Scan(PhysicalOperator):
             table.rows()  # fault draw; the copy itself is discarded
         return self._columns(), table.cardinality
 
+    def positions(self, name: str, ctx: ExecutionContext, operator: str):
+        """The table's cached value -> positions index of column ``name``.
+
+        An in-memory access path that charges no I/O: the consuming
+        ``operator`` has already touched the scan, as a linear scan
+        would.  Counted as ``executor.index_lookups{operator}``.
+        """
+        if ctx.record:
+            obs.metrics().counter(
+                "executor.index_lookups", operator=operator
+            ).inc()
+        return self.require_table().column_view().positions(name)
+
     def _compute(self, ctx: ExecutionContext):
         return self.touch_scan(ctx)
 
@@ -303,21 +318,39 @@ class Filter(PhysicalOperator):
     a predicate it cannot compile (a column reference that does not
     resolve) is evaluated on row dicts instead, counted as
     ``executor.row_fallbacks{operator="filter"}``.
+
+    Over a stored table, a leading ``column = literal`` conjunct
+    (:func:`~repro.executor.batch.leading_equality`) is read from the
+    table's position index: its hits merged with the column's NULL
+    positions, which stay unknown, seed the same cascade.  The scan is
+    still touched and charged in full.
     """
 
     name = "filter"
-    __slots__ = ("predicate", "_select", "_names")
+    __slots__ = ("predicate", "_select", "_names", "_lookup")
 
     def __init__(self, child: PhysicalOperator, predicate: Expression):
         super().__init__(child.schema, child.blocking_factor, (child,))
         self.predicate = predicate
         self._names = child.schema.attribute_names
         self._select = compile_selection(predicate, self._names)
+        self._lookup = None
+        if self._select is not None and isinstance(child, Scan):
+            self._lookup = leading_equality(predicate, self._names)
 
     def _compute(self, ctx: ExecutionContext):
-        columns, length = _finish_scan(_prepare(self.children[0], ctx), ctx)
+        child = self.children[0]
+        columns, length = _finish_scan(_prepare(child, ctx), ctx)
         if self._select is not None:
-            keep = self._select(columns, length)
+            first = None
+            if self._lookup is not None:
+                name, value = self._lookup
+                index = child.positions(name, ctx, self.name)
+                hits = index.get(value, ())
+                nulls = index.get(None, ())
+                kept = list(heapq.merge(hits, nulls)) if nulls else hits
+                first = (kept, nulls)
+            keep = self._select(columns, length, first)
         else:
             names = self._names
             evaluate = self.predicate.evaluate
@@ -434,18 +467,6 @@ def _gather(mapping, outer_columns, inner_columns, outer_pos, inner_pos):
     ]
 
 
-def _hash_groups(keys) -> Dict[Any, List[int]]:
-    """Key -> ascending positions, keys in first-occurrence order."""
-    groups: Dict[Any, List[int]] = {}
-    for position, key in enumerate(keys):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [position]
-        else:
-            group.append(position)
-    return groups
-
-
 def _key_vector(columns, indices) -> Sequence[Any]:
     """The per-row equi/grouping keys of ``columns[indices]``.
 
@@ -464,7 +485,7 @@ def _hash_buckets(keys, width: int) -> Dict[Any, List[int]]:
     A NULL equi-key never satisfies ``=``, so those rows can never
     match under any join method.
     """
-    buckets = _hash_groups(keys)
+    buckets = hash_groups(keys)
     if width == 1:
         buckets.pop(None, None)
     else:
@@ -1026,7 +1047,12 @@ class IndexNestedLoopJoin(_JoinBase):
 
 # -------------------------------------------------- aggregation, sort, limit
 class HashAggregate(PhysicalOperator):
-    """γ: hash aggregation, one pass, group order = first occurrence."""
+    """γ: hash aggregation, one pass, group order = first occurrence.
+
+    A single group-by column over a stored table takes its groups from
+    the table's position index, which holds exactly the groups a pass
+    would build; the scan is still touched and charged in full.
+    """
 
     name = "aggregate"
     __slots__ = ("group_by", "specs", "_key_indices", "_targets")
@@ -1062,11 +1088,14 @@ class HashAggregate(PhysicalOperator):
         self._targets = targets
 
     def _compute(self, ctx: ExecutionContext):
-        columns, length = _finish_scan(_prepare(self.children[0], ctx), ctx)
-        columns_by_name = dict(zip(self.children[0].schema.attribute_names, columns))
+        child = self.children[0]
+        columns, length = _finish_scan(_prepare(child, ctx), ctx)
+        columns_by_name = dict(zip(child.schema.attribute_names, columns))
         width = len(self._key_indices)
-        if width:
-            groups = _hash_groups(_key_vector(columns, self._key_indices))
+        if width == 1 and isinstance(child, Scan):
+            groups = child.positions(self.group_by[0], ctx, self.name)
+        elif width:
+            groups = hash_groups(_key_vector(columns, self._key_indices))
         else:
             # One global group, even over an empty input.
             groups = {(): list(range(length))}

@@ -172,6 +172,8 @@ class ViewMaintainer:
         view: MaterializedView,
         relation: str,
         delta_rows: Iterable[Mapping[str, object]],
+        *,
+        delta: Optional[Table] = None,
     ) -> RefreshReport:
         """Apply an insert-only delta of ``relation`` to ``view``.
 
@@ -211,6 +213,11 @@ class ViewMaintainer:
         (:meth:`Table.copy`); only the delta's rows are validated, so
         the cost scales with the delta rather than the view.  A grouped
         aggregate view whose delta touches no group is left as it is.
+
+        ``delta`` is :meth:`delta_table` of ``delta_rows`` when the
+        caller already built it: one update's delta is built once and
+        shared, read-only, by every affected view
+        (:meth:`DataWarehouse.apply_update`).
         """
         if view.name not in self.database:
             raise WarehouseError(
@@ -233,8 +240,9 @@ class ViewMaintainer:
             relation=relation,
         ) as span:
             before = self.database.io.snapshot()
-            delta_table = self._delta_table(relation, delta_rows)
-            overlay = OverlayDatabase(self.database, {relation: delta_table})
+            if delta is None:
+                delta = self.delta_table(relation, delta_rows)
+            overlay = OverlayDatabase(self.database, {relation: delta})
             delta_result = self.engine.over(overlay).execute(view.plan)
             stored = self.database.table(view.name)
             if isinstance(view.plan, Aggregate):
@@ -302,9 +310,15 @@ class ViewMaintainer:
         charge_materialize(shadow)
         return shadow
 
-    def _delta_table(
+    def delta_table(
         self, relation: str, delta_rows: Iterable[Mapping[str, object]]
     ) -> Table:
+        """The validated insert delta of ``relation`` as a table.
+
+        Shares the base relation's schema, blocking factor and I/O
+        counter; its rows are normalized once and charge no I/O.  One
+        update's delta is built once and shared by every affected view.
+        """
         base = self.database.table(relation)
         delta = Table(base.schema, base.blocking_factor, io=self.database.io)
         for row in validate_delta_rows(base.schema, delta_rows, relation):

@@ -216,9 +216,10 @@ class LifecycleResult:
     ``staleness_samples`` hold the worst per-view lag after each
     round's writes: change records when streaming, update batches when
     deferred.  The drain and change-log counters stay 0 when deferred.
-    The refresh counters cover the last scheduler pass of each
-    maintenance step.  ``digest`` hashes the final view contents and
-    the change-log counters.
+    The refresh counters cover every scheduler refresh of the run, so
+    ``refreshes_succeeded`` equals the sum of ``final_epochs``.
+    ``digest`` hashes the final view contents and the change-log
+    counters.
     """
 
     workload: str
@@ -400,19 +401,28 @@ def simulate_lifecycle(
             if view.name in warehouse.database
         }
 
+    def counted_refresh(view, refresh=scheduler.refresh_view):
+        outcome = refresh(view)
+        result.refreshes_attempted += outcome.attempts
+        if outcome.status == "refreshed":
+            result.refreshes_succeeded += 1
+            result.retries += outcome.attempts - 1
+        elif outcome.status == "failed":
+            result.refreshes_failed += 1
+            result.retries += outcome.attempts - 1
+        else:
+            result.refreshes_skipped += 1
+        return outcome
+
+    # Count every refresh the scheduler runs: each pass of
+    # refresh_until_converged and each batch fallback of a drain
+    # (scheduler.degrade), including drains inside writes and serves.
+    scheduler.refresh_view = counted_refresh
+
     def maintain() -> None:
         if streaming is not None:
             reports.append(streaming.drain())
-        for outcome in scheduler.refresh_until_converged():
-            result.refreshes_attempted += outcome.attempts
-            if outcome.status == "refreshed":
-                result.refreshes_succeeded += 1
-                result.retries += outcome.attempts - 1
-            elif outcome.status == "failed":
-                result.refreshes_failed += 1
-                result.retries += outcome.attempts - 1
-            else:
-                result.refreshes_skipped += 1
+        scheduler.refresh_until_converged()
 
     # The two hottest relations by update frequency carry the writes.
     hot = sorted(

@@ -1111,14 +1111,19 @@ class DataWarehouse:
                     relation, self.database.io.since(io_before).total
                 )
                 return reports
+            delta = None  # built once, shared by every affected view
             for view in self.views:
                 if not view.depends_on(relation):
                     continue
                 if view.name not in self.database:
                     continue  # not materialized yet; materialize() builds it
                 if policy == INCREMENTAL:
+                    if delta is None:
+                        delta = self.maintainer.delta_table(relation, rows)
                     reports.append(
-                        self.maintainer.incremental_refresh(view, relation, rows)
+                        self.maintainer.incremental_refresh(
+                            view, relation, rows, delta=delta
+                        )
                     )
                 else:
                     reports.append(self.maintainer.materialize(view))

@@ -60,6 +60,8 @@ def test_lifecycle_contract(runs, maintenance, failure_rate, seed):
     assert result.partial_writes == 0
     assert result.queries_run == ROUNDS * len(paper_workload().queries)
     assert result.inserts > 0 and result.deletes > 0
+    # Every refresh is counted: scheduler passes and drain fallbacks.
+    assert result.refreshes_succeeded == sum(result.final_epochs.values())
 
     if failure_rate:
         assert result.faults_injected["storage_faults"] > 0

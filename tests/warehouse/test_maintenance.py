@@ -264,6 +264,48 @@ class TestIncrementalCost:
         assert report.rows_after == cardinality + 1
         assert len(calls) < cardinality
 
+    def test_delta_is_built_once_per_update(self, monkeypatch):
+        """Regression: apply_update builds one delta table and every
+        affected view's evaluation shares it, so the delta rows are
+        normalized once for the relation and once for the delta, not
+        once more per affected view."""
+        from repro.warehouse import DataWarehouse
+        from repro.workload import StarConfig, star_workload
+        from repro.workload.datagen import star_rows
+
+        config = StarConfig(num_queries=6, include_aggregates=True, seed=0)
+        warehouse = DataWarehouse.from_workload(star_workload(config))
+        warehouse.design()
+        rows = star_rows(config, 0.005, 1)
+        for relation, relation_rows in sorted(rows.items()):
+            warehouse.load(relation, relation_rows)
+        warehouse.materialize()
+        affected = [v for v in warehouse.views if v.depends_on("Fact")]
+        assert len(affected) >= 2
+        delta = [dict(row) for row in rows["Fact"][:3]]
+        schema = warehouse.database.table("Fact").schema
+
+        calls = []
+        normalize = Table._normalize
+
+        def counting(self, row):
+            if self.schema is schema:
+                calls.append(1)
+            return normalize(self, row)
+
+        monkeypatch.setattr(Table, "_normalize", counting)
+        reports = warehouse.apply_update("Fact", delta, policy=INCREMENTAL)
+        monkeypatch.undo()
+
+        assert len(reports) == len(affected)
+        assert len(calls) == 2 * len(delta)
+        for view in affected:
+            stored = warehouse.database.table(view.name).rows()
+            recomputed = warehouse.engine.execute(view.plan).rows()
+            assert Counter(tuple(sorted(r.items())) for r in stored) == Counter(
+                tuple(sorted(r.items())) for r in recomputed
+            )
+
     def test_read_fault_on_view_keeps_old_table(self, database, view):
         import datetime
 
