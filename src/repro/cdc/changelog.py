@@ -26,6 +26,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
@@ -171,8 +172,11 @@ class ChangeLog:
         self._warned = False
 
     def records_after(self, seq: int) -> List[ChangeRecord]:
-        """Retained records with a global seq greater than ``seq``."""
-        return [r for r in self._records if r.seq > seq]
+        """Retained records with a global seq greater than ``seq``, read
+        back from the newest: seqs grow along the log."""
+        newer = list(takewhile(lambda r: r.seq > seq, reversed(self._records)))
+        newer.reverse()
+        return newer
 
     def has_gap(self, seq: int) -> bool:
         """Whether a consumer at watermark ``seq`` lost history.

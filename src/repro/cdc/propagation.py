@@ -8,22 +8,18 @@ out to every affected view in one pass, and subplans shared by several
 views evaluate their delta **once** (materialized to a transient
 ``__cdc_shared_*`` table and substituted into each consumer).
 
-Per-edge classification mirrors the batch maintainer's fallbacks
-(:meth:`repro.warehouse.maintenance.ViewMaintainer.incremental_refresh`)
-with one difference: the insert-only batch path merges
-self-maintainable aggregates from their delta, while this graph, which
-also carries deletes, still recomputes every aggregate view until the
-two paths are one.
+Each edge takes the batch maintainer's rule: :func:`repro.warehouse.
+maintenance.fallback_reason` classifies it, and the caller applies the
+evaluated delta with :func:`~repro.warehouse.maintenance.shadow_table`.
 
-========================  =======================================
-plan shape                rule
-========================  =======================================
-SPJ, relation once        linear delta: δV = plan[R := δR]
-Aggregate anywhere        recompute (no counting state is kept)
-relation referenced > 1   recompute (δR ⋈ δR would drop rows)
-DISTINCT projection       insert deltas dedup against the store;
-                          delete deltas force a recompute
-========================  =======================================
+=============================  =======================================
+edge into                      rule
+=============================  =======================================
+a linear plan                  delta: inserts and deletes alike
+a root DISTINCT or aggregate   insert-only delta; a run that carries
+over a linear body             deletes recomputes (``delete``)
+anything else                  recompute, under ``fallback_reason``
+=============================  =======================================
 
 Linearity is what makes sharing sound: for a subtree ``T`` whose path
 from the changed relation ``R`` up to ``T``'s root consists only of
@@ -38,19 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algebra.operators import (
-    Aggregate,
-    Join,
-    Operator,
-    Project,
-    Relation,
-    Select,
-)
+from repro.algebra.operators import Operator, Relation
 from repro.errors import StreamingError
 from repro.executor.engine import Database, ExecutionEngine
 from repro.executor.physical import charge_materialize
 from repro.storage.table import Table
-from repro.warehouse.maintenance import OverlayDatabase
+from repro.warehouse.maintenance import (
+    OverlayDatabase,
+    delta_table,
+    fallback_reason,
+    insert_only,
+    is_linear,
+)
 from repro.warehouse.view import MaterializedView
 
 __all__ = [
@@ -79,8 +74,10 @@ class EdgeRule:
     view: str
     relation: str
     mode: str  # MODE_DELTA or MODE_RECOMPUTE
-    reason: str = ""  # "aggregate" | "self-join" when recompute
-    distinct: bool = False  # DISTINCT view: dedup inserts, recompute deletes
+    reason: str = ""  # fallback_reason's label when recompute
+    #: A delta edge into a root DISTINCT or aggregate view: a run that
+    #: carries deletes recomputes it.
+    insert_only: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -88,7 +85,7 @@ class EdgeRule:
             "relation": self.relation,
             "mode": self.mode,
             "reason": self.reason,
-            "distinct": self.distinct,
+            "insert_only": self.insert_only,
         }
 
 
@@ -114,7 +111,7 @@ def _linear_chain(plan: Operator, relation: str) -> List[Operator]:
     """Ancestors of the single ``relation`` leaf that are linear in it.
 
     Returns the chain bottom-up (closest ancestor first), stopping at
-    the first node that is not Select / Join / non-distinct Project.
+    the first node that is not :func:`is_linear`.
     The leaf itself is excluded — substituting a bare ``Relation`` node
     shares nothing.
     """
@@ -133,12 +130,9 @@ def _linear_chain(plan: Operator, relation: str) -> List[Operator]:
         return []
     chain: List[Operator] = []
     for node in path:  # already bottom-up: appended on unwind
-        if isinstance(node, (Select, Join)) or (
-            isinstance(node, Project) and not node.distinct
-        ):
-            chain.append(node)
-        else:
+        if not is_linear(node):
             break
+        chain.append(node)
     return chain
 
 
@@ -181,29 +175,16 @@ class PropagationGraph:
     def _compile(self) -> None:
         by_relation: Dict[str, List[str]] = {}
         for name, view in self.views.items():
-            has_aggregate = any(
-                isinstance(node, Aggregate) for node in view.plan.walk()
-            )
-            distinct = any(
-                isinstance(node, Project) and node.distinct
-                for node in view.plan.walk()
-            )
             for relation in sorted(view.base_relations):
                 by_relation.setdefault(relation, []).append(name)
-                references = sum(
-                    1
-                    for node in view.plan.walk()
-                    if isinstance(node, Relation) and node.name == relation
+                reason = fallback_reason(view.plan, relation)
+                self._edges[(name, relation)] = EdgeRule(
+                    name,
+                    relation,
+                    MODE_RECOMPUTE if reason else MODE_DELTA,
+                    reason or "",
+                    insert_only=reason is None and insert_only(view.plan),
                 )
-                if has_aggregate:
-                    rule = EdgeRule(name, relation, MODE_RECOMPUTE, "aggregate")
-                elif references > 1:
-                    rule = EdgeRule(name, relation, MODE_RECOMPUTE, "self-join")
-                else:
-                    rule = EdgeRule(
-                        name, relation, MODE_DELTA, distinct=distinct
-                    )
-                self._edges[(name, relation)] = rule
         self._affected = {
             relation: tuple(sorted(names))
             for relation, names in by_relation.items()
@@ -329,15 +310,6 @@ class DeltaPropagator:
         self.engine = engine
 
     # ------------------------------------------------------------ evaluation
-    def _delta_table(
-        self, relation: str, rows: Sequence[Mapping[str, Any]]
-    ) -> Table:
-        base = self.database.table(relation)
-        delta = Table(base.schema, base.blocking_factor, io=self.database.io)
-        for row in rows:
-            delta.insert(row)
-        return delta
-
     def _evaluate(
         self, plan: Operator, overrides: Dict[str, Table]
     ) -> List[Dict[str, Any]]:
@@ -355,7 +327,8 @@ class DeltaPropagator:
         """Compute per-view deltas for one batch of base changes.
 
         ``view_names`` must all have a :data:`MODE_DELTA` edge from
-        ``relation``; recompute-mode views are the caller's business.
+        ``relation``, and an insert-only one only when ``deletes`` is
+        empty; the other views are the caller's to recompute.
         Views named here share subplan deltas where the compiled graph
         found common linear subtrees.
         """
@@ -364,9 +337,11 @@ class DeltaPropagator:
                    if n in set(view_names)]
         for name in targets:
             rule = self.graph.rule(name, relation)
-            if rule is None or rule.mode != MODE_DELTA:
+            if rule is None or rule.mode != MODE_DELTA or (
+                deletes and rule.insert_only
+            ):
                 raise StreamingError(
-                    f"view {name!r} has no delta edge from {relation!r}"
+                    f"view {name!r} takes no delta of this batch from {relation!r}"
                 )
         deltas: Dict[str, ViewDelta] = {
             name: ViewDelta(name) for name in targets
@@ -374,8 +349,9 @@ class DeltaPropagator:
         if not targets or (not inserts and not deletes):
             return deltas
 
-        delta_ins = self._delta_table(relation, inserts) if inserts else None
-        delta_del = self._delta_table(relation, deletes) if deletes else None
+        database = self.database
+        delta_ins = delta_table(database, relation, inserts) if inserts else None
+        delta_del = delta_table(database, relation, deletes) if deletes else None
 
         # Shared subplans active for this batch: groups with >= 2 of the
         # target views.  Their delta is evaluated once per direction and
@@ -386,13 +362,11 @@ class DeltaPropagator:
             if len(group) >= 2:
                 active[shared.signature] = shared
 
-        for direction, delta_table in (
-            ("insert", delta_ins), ("delete", delta_del)
-        ):
-            if delta_table is None:
+        for direction, delta in (("insert", delta_ins), ("delete", delta_del)):
+            if delta is None:
                 continue
             base_overrides = dict(rewinds)
-            base_overrides[relation] = delta_table
+            base_overrides[relation] = delta
             shared_tables: Dict[str, Tuple[str, Table]] = {}
             for sig, shared in sorted(active.items()):
                 subplan = self.graph.shared_subplan(relation, sig)
@@ -407,17 +381,11 @@ class DeltaPropagator:
                 shared_tables[sig] = (shared.name, table)
             for name in targets:
                 view = self.graph.views[name]
-                rule = self.graph.rule(name, relation)
-                if direction == "delete" and rule.distinct:
-                    # DISTINCT deletes need counting state; the caller
-                    # falls back to recompute (EdgeRule.distinct).
-                    continue
                 cut = self.graph.cut_signature(name, relation)
                 if cut is not None and cut in shared_tables:
                     shared_name, table = shared_tables[cut]
-                    node = self._find_node(view.plan, cut)
                     plan = substitute_subtree(
-                        view.plan, cut, Relation(shared_name, node.schema)
+                        view.plan, cut, Relation(shared_name, table.schema)
                     )
                     overrides = dict(rewinds)
                     overrides[shared_name] = table
@@ -432,12 +400,3 @@ class DeltaPropagator:
                 else:
                     deltas[name].delete_rows.extend(rows)
         return deltas
-
-    @staticmethod
-    def _find_node(plan: Operator, signature: str) -> Operator:
-        for node in plan.walk():
-            if node.signature == signature:
-                return node
-        raise StreamingError(
-            f"compiled shared subplan {signature!r} not found in plan"
-        )

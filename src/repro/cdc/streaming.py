@@ -15,7 +15,8 @@ every affected view through the compiled
   ``max_lag_ticks`` logical ticks, bounding both queue depth and
   staleness;
 * **degradation** — a view whose delta cannot be evaluated (propagation
-  fault, retention gap, recompute-only edge, DISTINCT delete) falls back
+  fault, retention gap, recompute-only edge, a delete reaching an
+  insert-only edge, a SUM overflow) falls back
   to a batch refresh through
   :meth:`repro.resilience.scheduler.RefreshScheduler.degrade`, i.e. the
   normal retry/backoff/circuit-breaker machinery.
@@ -31,6 +32,7 @@ property ``tests/cdc`` pins with hypothesis, on both engines).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,6 +54,7 @@ from repro.cdc.propagation import (
 from repro.errors import ReproError, StreamingError
 from repro.storage.block import IOSnapshot
 from repro.storage.table import Table
+from repro.warehouse.maintenance import DELETE, SUM_OVERFLOW, shadow_table
 
 __all__ = ["StreamingMaintainer", "DrainReport"]
 
@@ -317,24 +320,16 @@ class StreamingMaintainer:
         )
         for relation, run in runs:
             first_seq, last_seq = run[0].seq, run[-1].seq
-            targets = self._run_targets(
-                views, relation, first_seq, last_seq, need_recompute
-            )
             inserts, deletes, cancelled = _coalesce(run)
             coalesced += cancelled
-            delta_targets = []
-            for view in targets:
-                rule = self.graph.rule(view.name, relation)
-                if rule.distinct and deletes:
-                    # DISTINCT deletes need per-row counting state the
-                    # store does not keep — recompute instead.
-                    need_recompute[view.name] = "distinct-delete"
-                else:
-                    delta_targets.append(view)
-            if delta_targets and (inserts or deletes):
-                rewinds = self._rewinds(relation, last_seq, delta_targets)
+            targets = self._run_targets(
+                views, relation, first_seq, last_seq, bool(deletes),
+                need_recompute,
+            )
+            if targets and (inserts or deletes):
+                rewinds = self._rewinds(relation, last_seq, targets)
                 applied = self._apply_run(
-                    relation, inserts, deletes, delta_targets, rewinds,
+                    relation, inserts, deletes, targets, rewinds,
                     need_recompute,
                 )
                 for view in applied:
@@ -342,7 +337,7 @@ class StreamingMaintainer:
                     if view.name not in updated:
                         updated.append(view.name)
             else:
-                for view in delta_targets:
+                for view in targets:
                     self._synced[view.name] = last_seq
 
         # Views fully caught up reflect the current base contents: no
@@ -406,13 +401,17 @@ class StreamingMaintainer:
         relation: str,
         first_seq: int,
         last_seq: int,
+        deletes: bool,
         need_recompute: Dict[str, str],
     ) -> List[Any]:
         """Views that must absorb the run ``[first_seq..last_seq]``.
 
         A view qualifies when its oldest unabsorbed record is exactly
-        the start of this run; anything behind (missed history, log gap,
-        never synced) degrades to recompute, anything ahead skips.
+        the start of this run and its edge takes the run's delta;
+        anything behind (missed history, log gap, never synced) or
+        whose edge does not (a recompute rule, or ``deletes`` reaching
+        an insert-only edge) degrades to recompute, anything ahead
+        skips.
         """
         targets = []
         for view in views:
@@ -441,6 +440,9 @@ class StreamingMaintainer:
             rule = self.graph.rule(name, relation)
             if rule is None or rule.mode != MODE_DELTA:
                 need_recompute[name] = rule.reason if rule else "no-edge"
+                continue
+            if deletes and rule.insert_only:
+                need_recompute[name] = DELETE
                 continue
             targets.append(view)
         return targets
@@ -505,21 +507,19 @@ class StreamingMaintainer:
         interrupts it, falls back to per-view propagation so one failing
         view degrades alone instead of taking the whole run down."""
         injector = self.warehouse.fault_injector
-        names = [view.name for view in targets]
+
+        def guarded():
+            return injector.maintenance() if injector is not None else nullcontext()
 
         def propagate(view_names: Sequence[str]) -> Dict[str, ViewDelta]:
-            if injector is not None:
-                with injector.maintenance():
-                    return self.propagator.propagate(
-                        relation, inserts, deletes, view_names, rewinds
-                    )
-            return self.propagator.propagate(
-                relation, inserts, deletes, view_names, rewinds
-            )
+            with guarded():
+                return self.propagator.propagate(
+                    relation, inserts, deletes, view_names, rewinds
+                )
 
         deltas: Dict[str, ViewDelta] = {}
         try:
-            deltas = propagate(names)
+            deltas = propagate([view.name for view in targets])
         except ReproError:
             for view in targets:
                 try:
@@ -538,11 +538,8 @@ class StreamingMaintainer:
                     need_recompute[view.name] = "fault"
                 continue
             try:
-                if injector is not None:
-                    with injector.maintenance():
-                        self._commit_delta(view, relation, delta)
-                else:
-                    self._commit_delta(view, relation, delta)
+                with guarded():
+                    committed = self._commit_delta(view, relation, delta)
             except ReproError as exc:
                 need_recompute[view.name] = "fault"
                 self._journal(
@@ -550,47 +547,39 @@ class StreamingMaintainer:
                     error=str(exc),
                 )
                 continue
+            if not committed:
+                need_recompute[view.name] = SUM_OVERFLOW
+                continue
             applied.append(view)
         return applied
 
-    def _commit_delta(self, view: Any, relation: str, delta: ViewDelta) -> None:
-        """Atomically swap the view to (stored − deletes) + inserts."""
+    def _commit_delta(self, view: Any, relation: str, delta: ViewDelta) -> bool:
+        """Atomically swap the view to its stored rows with ``delta``
+        applied (:func:`~repro.warehouse.maintenance.shadow_table`);
+        ``False``, leaving the view as it was, on a SUM overflow."""
         warehouse = self.warehouse
         database = warehouse.database
         stored = database.table(view.name)
-        shadow = Table(stored.schema, stored.blocking_factor, io=database.io)
-        shadow.insert_many(stored.rows(), count_io=False)
-        if delta.delete_rows:
-            shadow.delete_many(delta.delete_rows, count_io=True)
-        insert_rows = delta.insert_rows
-        rule = self.graph.rule(view.name, relation)
-        if rule is not None and rule.distinct and insert_rows:
-            names = shadow.schema.attribute_names
-            existing = {
-                tuple(row[n] for n in names) for row in shadow.rows()
-            }
-            deduped = []
-            for row in insert_rows:
-                key = tuple(row[n] for n in names)
-                if key not in existing:
-                    existing.add(key)
-                    deduped.append(row)
-            insert_rows = deduped
-        if insert_rows:
-            shadow.insert_many(insert_rows, count_io=True)
-        database.register(view.name, shadow)
-        warehouse.engine.indexes.invalidate(view.name)
-        warehouse.engine.build_cache.invalidate(view.name)
+        shadow = shadow_table(
+            view.plan, stored, delta.insert_rows, delta.delete_rows
+        )
+        if shadow is None:
+            return False
+        if shadow is not stored:
+            database.register(view.name, shadow)
+            warehouse.engine.indexes.invalidate(view.name)
+            warehouse.engine.build_cache.invalidate(view.name)
         warehouse._committed_cards[view.name] = shadow.cardinality
         self._journal(
             "cdc.apply", view=view.name, relation=relation,
-            inserted=len(insert_rows), deleted=len(delta.delete_rows),
+            inserted=len(delta.insert_rows), deleted=len(delta.delete_rows),
             rows_after=shadow.cardinality,
         )
         if obs.enabled():
             obs.metrics().counter(
                 "cdc.deltas_applied", view=view.name
             ).inc()
+        return True
 
     # -------------------------------------------------------------- status
     def _journal(self, kind: str, **attributes: Any) -> None:

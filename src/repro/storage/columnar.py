@@ -54,10 +54,12 @@ class ColumnView:
     columns.
     """
 
-    __slots__ = ("_table", "_columns", "_positions", "_cardinality")
+    __slots__ = ("_rows", "_columns", "_positions", "_cardinality")
 
-    def __init__(self, table) -> None:
-        self._table = table
+    def __init__(self, rows: List[Dict[str, Any]]) -> None:
+        #: The table's row list, not the table: a cycle would keep a
+        #: replaced table and its columns alive until a cyclic collection.
+        self._rows = rows
         self._columns: Dict[str, List[object]] = {}
         self._positions: Dict[str, Dict[Any, List[int]]] = {}
         self._cardinality: int = -1
@@ -71,7 +73,7 @@ class ColumnView:
     @property
     def cardinality(self) -> int:
         """Row count the cached columns correspond to."""
-        return len(self._table._rows)
+        return len(self._rows)
 
     def column(self, name: str) -> List[object]:
         """The values of attribute ``name`` in row order (cached).
@@ -80,7 +82,7 @@ class ColumnView:
         table's schema (callers resolve short names first, with the
         same rules the row engine uses).
         """
-        rows = self._table._rows
+        rows = self._rows
         if self._cardinality != len(rows):
             # Stale for a reason invalidation didn't see (defensive —
             # direct ``_rows`` mutation); rebuild everything lazily.

@@ -175,7 +175,7 @@ class Table:
         if self._colcache is None:
             from repro.storage.columnar import ColumnView
 
-            self._colcache = ColumnView(self)
+            self._colcache = ColumnView(self._rows)
         return self._colcache
 
     def qualified(self, relation_name: Optional[str] = None) -> "Table":

@@ -1,13 +1,33 @@
-"""View maintenance: full recomputation and incremental (delta) refresh.
+"""View maintenance: full recomputation and delta rules.
 
 The paper assumes *recompute* maintenance ("re-computing is used whenever
 an update of involved base relation occurs", Section 2) — that is the
-default policy.  Incremental maintenance for insert-only deltas on SPJ
-views and self-maintainable aggregate views (COUNT, MIN, MAX, INTEGER
-SUM) is provided as the extension the paper's future-work section points
-at, and is ablated in ``benchmarks/bench_ablation_maintenance.py``:
-cheaper refresh shifts the weight formula's ``Cm`` term and can flip
-materialization decisions.
+default policy.  Incremental maintenance is provided as the extension
+the paper's future-work section points at, and is ablated in
+``benchmarks/bench_ablation_maintenance.py``: cheaper refresh shifts the
+weight formula's ``Cm`` term and can flip materialization decisions.
+
+Both incremental paths — batch :meth:`ViewMaintainer.incremental_refresh`
+and streaming :class:`repro.cdc.streaming.StreamingMaintainer` — apply
+one set of delta rules: :func:`fallback_reason` classifies an edge,
+:func:`delta_table` builds the delta and :func:`shadow_table` the new
+stored table.
+
+Rules, for a batch δR of inserted or deleted rows of relation ``R``:
+
+* **linear** — every node is a Select, a Join or a non-DISTINCT
+  Project (:func:`is_linear`) and ``R`` occurs once:
+  ``δV = plan[R := δR]``; inserted rows are appended and deleted rows
+  removed (bag semantics);
+* **insert-only DISTINCT** — a DISTINCT Project at the root of a linear
+  body: inserted rows not already stored are appended;
+* **insert-only aggregate** — the root is the plan's only Aggregate,
+  its body is linear and every spec is COUNT, MIN, MAX or a SUM over an
+  INTEGER attribute: one partial aggregate per touched group, merged
+  into the stored groups (:func:`merge_groups`);
+* anything else recomputes, under the reason :func:`fallback_reason`
+  names.  So does a delete that reaches an insert-only edge
+  (``delete``): the store keeps no per-row or per-group counts.
 """
 
 from __future__ import annotations
@@ -36,14 +56,17 @@ from repro.warehouse.view import MaterializedView
 RECOMPUTE = "recompute"
 INCREMENTAL = "incremental"
 
-#: Why an incremental refresh recomputed instead (the ``reason`` label
-#: of ``maintenance.recompute_fallbacks``).
+#: Why a view recomputed instead of taking a delta: the ``reason`` label
+#: of ``maintenance.recompute_fallbacks``, of a recompute-mode
+#: :class:`~repro.cdc.propagation.EdgeRule` and of ``cdc.degraded``.
 SELF_JOIN = "self-join"
+NON_LINEAR = "non-linear"
 NESTED_AGGREGATE = "nested-aggregate"
 AGGREGATE_SHAPE = "aggregate-shape"
 AVG = "avg"
 FLOAT_SUM = "float-sum"
 SUM_OVERFLOW = "sum-overflow"
+DELETE = "delete"
 
 #: Every integer of smaller magnitude is an exact float, so SUMs below
 #: it add exactly; one reaching it is recomputed (``SUM_OVERFLOW``).
@@ -175,18 +198,13 @@ class ViewMaintainer:
         *,
         delta: Optional[Table] = None,
     ) -> RefreshReport:
-        """Apply an insert-only delta of ``relation`` to ``view``.
+        """Apply an insert delta of ``relation`` to ``view``.
 
         The view's plan is evaluated with ``relation`` replaced by the
-        delta.  For an SPJ view the result is exactly the new tuples —
-        the classic counting-free insert rule; a view with a
-        duplicate-eliminating projection inserts only delta tuples not
-        already stored, preserving set semantics.  For a
-        self-maintainable aggregate view — the root is the plan's only
-        :class:`Aggregate`, its body is SPJ without DISTINCT, and every
-        spec is COUNT, MIN, MAX or a SUM over an INTEGER attribute — the
-        result is one partial aggregate per touched group, merged into
-        the stored groups (:func:`merge_groups`).
+        delta, and :func:`shadow_table` applies the result: appended
+        for a linear view, deduplicated for a root DISTINCT, merged
+        group by group for a self-maintainable aggregate (see the
+        module docstring).
 
         Every other shape recomputes (:meth:`materialize`), counted as
         ``maintenance.recompute_fallbacks{reason}`` and named by the
@@ -195,6 +213,10 @@ class ViewMaintainer:
         * ``self-join`` — ``relation`` occurs more than once:
           substituting the delta for every occurrence would evaluate
           ``δR ⋈ δR`` instead of ``δR ⋈ R  ∪  R_old ⋈ δR``;
+        * ``non-linear`` — no Aggregate, and a Sort, a Limit or a
+          DISTINCT below the root: the new rows' place in the order, a
+          limit's cut and a nested duplicate elimination all depend on
+          the rows already there;
         * ``nested-aggregate`` — more than one Aggregate;
         * ``aggregate-shape`` — the Aggregate is not the root, or its
           body holds a DISTINCT projection, a sort or a limit;
@@ -206,15 +228,12 @@ class ViewMaintainer:
           which float addition is no longer exact.  The delta has
           been evaluated by then; its I/O stays on the counter.
 
-        The refresh is atomic: deltas are applied to a shadow copy that
+        The refresh is atomic: the delta is applied to a shadow that
         replaces the stored table only once fully built, so concurrent
-        readers never observe a partially-refreshed view.  The shadow
-        shares the stored rows, which were validated when written
-        (:meth:`Table.copy`); only the delta's rows are validated, so
-        the cost scales with the delta rather than the view.  A grouped
+        readers never observe a partially-refreshed view.  A grouped
         aggregate view whose delta touches no group is left as it is.
 
-        ``delta`` is :meth:`delta_table` of ``delta_rows`` when the
+        ``delta`` is :func:`delta_table` of ``delta_rows`` when the
         caller already built it: one update's delta is built once and
         shared, read-only, by every affected view
         (:meth:`DataWarehouse.apply_update`).
@@ -241,14 +260,11 @@ class ViewMaintainer:
         ) as span:
             before = self.database.io.snapshot()
             if delta is None:
-                delta = self.delta_table(relation, delta_rows)
+                delta = delta_table(self.database, relation, delta_rows)
             overlay = OverlayDatabase(self.database, {relation: delta})
             delta_result = self.engine.over(overlay).execute(view.plan)
             stored = self.database.table(view.name)
-            if isinstance(view.plan, Aggregate):
-                shadow = self._merge_delta(view.plan, stored, delta_result)
-            else:
-                shadow = self._insert_delta(view.plan, stored, delta_result)
+            shadow = shadow_table(view.plan, stored, delta_result.rows())
             if shadow is not None:
                 if shadow is not stored:
                     self.database.register(view.name, shadow)
@@ -264,44 +280,53 @@ class ViewMaintainer:
             span.set(fallback_reason=SUM_OVERFLOW)
         return self._fall_back(view, SUM_OVERFLOW)
 
-    def _insert_delta(
-        self, plan: Operator, stored: Table, delta_result: Table
-    ) -> Table:
-        """An SPJ view's shadow: the stored rows plus the delta's."""
-        new_rows = delta_result.rows()
-        if any(
-            isinstance(node, Project) and node.distinct for node in plan.walk()
-        ):
-            names = stored.schema.attribute_names
-            existing = {tuple(row[n] for n in names) for row in stored.rows()}
-            new_rows = [
-                row
-                for row in new_rows
-                if tuple(row[n] for n in names) not in existing
-            ]
-        shadow = stored.copy()
-        shadow.insert_many(new_rows, count_io=True)
-        return shadow
 
-    def _merge_delta(
-        self, aggregate: Aggregate, stored: Table, delta_result: Table
-    ) -> Optional[Table]:
-        """An aggregate view's shadow, or ``None`` on a SUM overflow.
+def delta_table(
+    database: Database, relation: str, rows: Iterable[Mapping[str, object]]
+) -> Table:
+    """The delta of ``relation`` as a table: the base relation's schema,
+    blocking factor and I/O counter, rows checked by
+    :func:`validate_delta_rows` and normalized once, no I/O charged.
+    Built once and shared, read-only, by every view it reaches."""
+    base = database.table(relation)
+    delta = Table(base.schema, base.blocking_factor, io=database.io)
+    for row in validate_delta_rows(base.schema, rows, relation):
+        delta.insert(row)
+    return delta
 
-        Charges a read of the stored view and a write of the shadow;
-        an empty grouped delta returns ``stored`` itself, charging
-        nothing more.
-        """
-        delta_rows = delta_result.rows()
-        if not delta_rows:
+
+def shadow_table(
+    plan: Operator,
+    stored: Table,
+    inserts: Sequence[Mapping[str, object]],
+    deletes: Sequence[Mapping[str, object]] = (),
+) -> Optional[Table]:
+    """The view's new contents: ``stored`` with an evaluated delta applied.
+
+    ``inserts`` / ``deletes`` are ``plan`` evaluated over one relation's
+    inserted / deleted rows, for an edge :func:`fallback_reason` accepts.
+    A linear view starts from :meth:`Table.copy`, so only the delta's
+    rows are validated, removes the deleted rows and appends the
+    inserted ones; a root DISTINCT appends only rows not stored yet.  An
+    aggregate view's groups are merged (:func:`merge_groups`), charging
+    a read of the view and a write of the shadow; an empty grouped delta
+    returns ``stored`` itself.  ``None`` means a merged SUM would reach
+    :data:`EXACT_SUM_LIMIT`.  An :func:`insert_only` plan takes no
+    deletes.
+    """
+    if deletes and insert_only(plan):
+        raise WarehouseError(
+            "an insert-only view cannot absorb deletes; recompute it"
+        )
+    if isinstance(plan, Aggregate):
+        if not inserts:
             return stored  # only a grouped aggregate can yield no rows
-        current = list(stored.scan())
         merged = merge_groups(
-            aggregate, stored.schema.attribute_names, current, delta_rows
+            plan, stored.schema.attribute_names, list(stored.scan()), inserts
         )
         if merged is None:
             return None
-        shadow = Table(stored.schema, stored.blocking_factor, io=self.database.io)
+        shadow = Table(stored.schema, stored.blocking_factor, io=stored.io)
         # Untouched groups keep their validated row dicts (as in
         # Table.copy); only merged and new groups are validated.
         shadow._rows = [
@@ -309,41 +334,53 @@ class ViewMaintainer:
         ]
         charge_materialize(shadow)
         return shadow
+    shadow = stored.copy()
+    if deletes:
+        shadow.delete_many(deletes, count_io=True)
+    if isinstance(plan, Project) and plan.distinct:
+        names = shadow.schema.attribute_names
+        seen = {tuple(row[n] for n in names) for row in shadow.rows()}
+        unique = []
+        for row in inserts:
+            key = tuple(row[n] for n in names)
+            if key not in seen:
+                seen.add(key)
+                unique.append(row)
+        inserts = unique
+    shadow.insert_many(inserts, count_io=True)
+    return shadow
 
-    def delta_table(
-        self, relation: str, delta_rows: Iterable[Mapping[str, object]]
-    ) -> Table:
-        """The validated insert delta of ``relation`` as a table.
 
-        Shares the base relation's schema, blocking factor and I/O
-        counter; its rows are normalized once and charge no I/O.  One
-        update's delta is built once and shared by every affected view.
-        """
-        base = self.database.table(relation)
-        delta = Table(base.schema, base.blocking_factor, io=self.database.io)
-        for row in validate_delta_rows(base.schema, delta_rows, relation):
-            delta.insert(row)
-        return delta
-
-
-def _spj(node: Operator) -> bool:
-    """Whether ``node`` is built of Select, Join and non-DISTINCT Project."""
-    if isinstance(node, Relation):
-        return True
-    if isinstance(node, (Select, Join)) or (
+def is_linear(node: Operator) -> bool:
+    """Whether ``node`` passes a delta through unchanged in kind:
+    a Select, a Join or a non-DISTINCT Project."""
+    return isinstance(node, (Select, Join)) or (
         isinstance(node, Project) and not node.distinct
-    ):
-        return all(_spj(child) for child in node.children)
-    return False
+    )
+
+
+def insert_only(plan: Operator) -> bool:
+    """Whether ``plan``'s delta rule takes inserts only: its root is an
+    Aggregate or a DISTINCT Project."""
+    return isinstance(plan, Aggregate) or (
+        isinstance(plan, Project) and plan.distinct
+    )
+
+
+def _linear_tree(node: Operator) -> bool:
+    """Whether every node of ``node``'s tree is a leaf or :func:`is_linear`."""
+    return isinstance(node, Relation) or (
+        is_linear(node) and all(_linear_tree(child) for child in node.children)
+    )
 
 
 def fallback_reason(plan: Operator, relation: str) -> Optional[str]:
-    """Why an insert into ``relation`` must recompute ``plan``, if it must.
+    """Why a delta of ``relation`` must recompute ``plan``, if it must.
 
-    ``None`` means the delta rule applies: an SPJ plan, or a
-    self-maintainable aggregate (see
-    :meth:`ViewMaintainer.incremental_refresh`).  The SUM overflow
-    guard depends on the data and is checked while merging.
+    The one classifier of both incremental paths; ``None`` means a rule
+    of the module docstring applies, and the reasons are listed at
+    :meth:`ViewMaintainer.incremental_refresh`.  The SUM overflow guard
+    depends on the data and is checked while merging.
     """
     nodes = list(plan.walk())
     references = sum(
@@ -353,10 +390,11 @@ def fallback_reason(plan: Operator, relation: str) -> Optional[str]:
         return SELF_JOIN
     aggregates = [node for node in nodes if isinstance(node, Aggregate)]
     if not aggregates:
-        return None
+        body = plan.child if insert_only(plan) else plan
+        return None if _linear_tree(body) else NON_LINEAR
     if len(aggregates) > 1:
         return NESTED_AGGREGATE
-    if plan is not aggregates[0] or not _spj(plan.child):
+    if plan is not aggregates[0] or not _linear_tree(plan.child):
         return AGGREGATE_SHAPE
     for spec in plan.aggregates:
         if spec.function is AggregateFunction.AVG:

@@ -51,6 +51,7 @@ from repro.warehouse.maintenance import (
     RECOMPUTE,
     RefreshReport,
     ViewMaintainer,
+    delta_table,
 )
 from repro.warehouse.rewriter import rewrite_with_views
 from repro.warehouse.view import MaterializedView
@@ -1119,7 +1120,7 @@ class DataWarehouse:
                     continue  # not materialized yet; materialize() builds it
                 if policy == INCREMENTAL:
                     if delta is None:
-                        delta = self.maintainer.delta_table(relation, rows)
+                        delta = delta_table(self.database, relation, rows)
                     reports.append(
                         self.maintainer.incremental_refresh(
                             view, relation, rows, delta=delta

@@ -57,6 +57,21 @@ class TestChangeLogRetention:
         assert log.last_lsn == 3
         assert [r.seq for r in log.records_after(1)] == [2, 3]
 
+    def test_records_after_matches_a_full_scan(self):
+        import warnings
+
+        log = ChangeLog("R", capacity=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i in range(1, 7):
+                log.append(record(lsn=i, seq=2 * i))
+        retained = [r.seq for r in log.records_after(0)]
+        assert retained == [6, 8, 10, 12]
+        for seq in range(14):
+            assert [r.seq for r in log.records_after(seq)] == [
+                s for s in retained if s > seq
+            ]
+
     def test_rejects_foreign_relation(self):
         log = ChangeLog("R")
         with pytest.raises(StreamingError):

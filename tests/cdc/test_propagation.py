@@ -10,9 +10,11 @@ from repro.algebra.operators import (
     AggregateFunction,
     AggregateSpec,
     Join,
+    Limit,
     Project,
     Relation,
     Select,
+    Sort,
 )
 from repro.cdc import (
     MODE_DELTA,
@@ -55,21 +57,53 @@ class TestEdgeClassification:
         graph = PropagationGraph([view])
         rule = graph.rule("v_spj", "Order")
         assert rule.mode == MODE_DELTA
-        assert not rule.distinct
+        assert not rule.insert_only
 
-    def test_aggregate_forces_recompute(self, order_leaf):
-        view = MaterializedView(
+    @staticmethod
+    def _aggregate(order_leaf, function, attribute):
+        return MaterializedView(
             name="v_agg",
             plan=Aggregate(
                 order_leaf,
                 ["Order.Cid"],
-                [AggregateSpec(AggregateFunction.COUNT, None, "n")],
+                [AggregateSpec(function, attribute, "x")],
             ),
         )
-        graph = PropagationGraph([view])
-        rule = graph.rule("v_agg", "Order")
+
+    def test_count_is_an_insert_only_delta(self, order_leaf):
+        view = self._aggregate(order_leaf, AggregateFunction.COUNT, None)
+        rule = PropagationGraph([view]).rule("v_agg", "Order")
+        assert rule.mode == MODE_DELTA
+        assert rule.reason == ""
+        assert rule.insert_only
+
+    def test_avg_forces_recompute(self, order_leaf):
+        view = self._aggregate(
+            order_leaf, AggregateFunction.AVG, "Order.quantity"
+        )
+        rule = PropagationGraph([view]).rule("v_agg", "Order")
         assert rule.mode == MODE_RECOMPUTE
-        assert rule.reason == "aggregate"
+        assert rule.reason == "avg"
+        assert not rule.insert_only
+
+    def test_order_and_inner_distinct_force_recompute(
+        self, order_leaf, customer_leaf
+    ):
+        inner = Join(
+            Project(customer_leaf, ["Customer.city"], distinct=True),
+            Project(order_leaf, ["Order.Pid"]),
+        )
+        views = [
+            MaterializedView(name="v_limit", plan=Limit(order_leaf, 5)),
+            MaterializedView(
+                name="v_sort", plan=Sort(order_leaf, [("Order.quantity", True)])
+            ),
+            MaterializedView(name="v_inner", plan=inner),
+        ]
+        graph = PropagationGraph(views)
+        for name in ("v_limit", "v_sort", "v_inner"):
+            rule = graph.rule(name, "Order")
+            assert (rule.mode, rule.reason) == (MODE_RECOMPUTE, "non-linear")
 
     def test_self_join_forces_recompute(self, order_leaf):
         view = MaterializedView(
@@ -92,7 +126,7 @@ class TestEdgeClassification:
         graph = PropagationGraph([view])
         rule = graph.rule("v_distinct", "Order")
         assert rule.mode == MODE_DELTA
-        assert rule.distinct
+        assert rule.insert_only
 
     def test_affected_views_sorted(self, order_leaf, customer_leaf):
         views = [
@@ -241,7 +275,7 @@ class TestDeltaPropagator:
             plan=Aggregate(
                 order_leaf,
                 ["Order.Cid"],
-                [AggregateSpec(AggregateFunction.COUNT, None, "n")],
+                [AggregateSpec(AggregateFunction.AVG, "Order.quantity", "m")],
             ),
         )
         graph = PropagationGraph([view])
@@ -249,6 +283,27 @@ class TestDeltaPropagator:
         propagator = DeltaPropagator(graph, database, ExecutionEngine(database))
         with pytest.raises(StreamingError):
             propagator.propagate("Order", [_order_row()], [], ["v_agg"])
+
+    def test_insert_only_view_takes_inserts_but_rejects_deletes(
+        self, workload, order_leaf
+    ):
+        view = MaterializedView(
+            name="v_count",
+            plan=Aggregate(
+                order_leaf,
+                ["Order.Cid"],
+                [AggregateSpec(AggregateFunction.COUNT, None, "n")],
+            ),
+        )
+        graph = PropagationGraph([view])
+        database = self._database(workload)
+        propagator = DeltaPropagator(graph, database, ExecutionEngine(database))
+        deltas = propagator.propagate(
+            "Order", [_order_row(cid=2), _order_row(cid=2)], [], ["v_count"]
+        )
+        assert deltas["v_count"].insert_rows == [{"Order.Cid": 2, "n": 2}]
+        with pytest.raises(StreamingError):
+            propagator.propagate("Order", [], [_order_row()], ["v_count"])
 
 
 class TestPaperDesignGraph:

@@ -57,7 +57,7 @@ class TestS002RecomputeOnlyView:
         plan = Aggregate(
             order,
             ["Order.Cid"],
-            [AggregateSpec(AggregateFunction.COUNT, None, "n")],
+            [AggregateSpec(AggregateFunction.AVG, "Order.quantity", "mean")],
         )
         return Vertex(
             vertex_id=999,
@@ -79,7 +79,7 @@ class TestS002RecomputeOnlyView:
         (diag,) = fired(report, "S002")
         assert "agg_per_customer" in diag.message
         assert "full recompute" in diag.message
-        assert "aggregate" in diag.message
+        assert "(avg)" in diag.message
 
     def test_paper_design_is_clean(self, fresh_workload):
         result = design(fresh_workload)

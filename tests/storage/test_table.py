@@ -98,6 +98,27 @@ class TestQualified:
         assert table.cardinality == 0 and table.num_blocks == 0
 
 
+class TestColumnView:
+    def test_a_dropped_table_is_freed_with_its_columns(self, schema):
+        """The column view holds the row list, not the table, so a
+        replaced table goes when its last reference does, without
+        waiting for the cyclic collector."""
+        import gc
+        import weakref
+
+        table = table_from_rows(schema, [{"Pid": 1, "name": "a"}])
+        assert table.column_view().column("Pid") == [1]
+        gone = weakref.ref(table)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del table
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestCopy:
     def test_same_rows_schema_and_blocking_factor(self, schema):
         table = table_from_rows(

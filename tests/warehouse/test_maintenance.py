@@ -527,6 +527,7 @@ def _self_join_aggregate():
 
 FALLBACKS = {
     M.SELF_JOIN: (_self_join_aggregate, "F"),
+    M.NON_LINEAR: (lambda: Sort(Relation("F", FACT), [("F.k", True)]), "F"),
     M.NESTED_AGGREGATE: (
         lambda: Aggregate(
             _star(SUM_V, COUNT_ALL), [], [_spec(AggregateFunction.MAX, "n", "m")]
@@ -560,6 +561,18 @@ class TestAggregateFallbacks:
             None,
             reason,
         ]
+
+    def test_insert_only_shadow_rejects_deletes(self):
+        database = _star_database()
+        view = MaterializedView(name="mv", plan=_star(SUM_V, COUNT_ALL))
+        ViewMaintainer(database).materialize(view)
+        stored = database.table("mv")
+        row = stored.rows()[0]
+        with pytest.raises(WarehouseError):
+            M.shadow_table(view.plan, stored, [], [row])
+        distinct = Project(Relation("F", FACT), ["F.k"], distinct=True)
+        with pytest.raises(WarehouseError):
+            M.shadow_table(distinct, stored, [], [row])
 
     def test_distinct_or_sorted_bodies_are_the_wrong_shape(self):
         distinct = Aggregate(
