@@ -53,14 +53,10 @@ from repro.cdc.propagation import (
 )
 from repro.errors import ReproError, StreamingError
 from repro.storage.block import IOSnapshot
-from repro.storage.table import Table
+from repro.storage.table import Table, items_order, row_items, row_values
 from repro.warehouse.maintenance import DELETE, SUM_OVERFLOW, shadow_table
 
 __all__ = ["StreamingMaintainer", "DrainReport"]
-
-
-def _row_key(row: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple(sorted(row.items()))
 
 
 def _coalesce(
@@ -78,7 +74,7 @@ def _coalesce(
     sample: Dict[Tuple[Tuple[str, Any], ...], Dict[str, Any]] = {}
 
     def bump(row: Mapping[str, Any], delta: int) -> None:
-        key = _row_key(row)
+        key = row_items(row)
         counts[key] = counts.get(key, 0) + delta
         sample.setdefault(key, dict(row))
 
@@ -96,7 +92,7 @@ def _coalesce(
             total += 2
     inserts: List[Dict[str, Any]] = []
     deletes: List[Dict[str, Any]] = []
-    for key in sorted(counts):
+    for key in sorted(counts, key=items_order):
         count = counts[key]
         row = sample[key]
         if count > 0:
@@ -104,6 +100,53 @@ def _coalesce(
         elif count < 0:
             deletes.extend(dict(row) for _ in range(-count))
     return inserts, deletes, total - len(inserts) - len(deletes)
+
+
+def _rewound(table: Table, future: Sequence[ChangeRecord]) -> Table:
+    """``table`` with the ``future`` records undone, newest first: an
+    insert removes the newest stored occurrence of its row, a delete
+    appends its row again.
+
+    Starts from :meth:`Table.copy`, so only the re-appended rows are
+    validated, and removes the inserts still in the copied rows in one
+    pass from the end, keyed by :func:`row_values` as
+    :meth:`Table.delete_many` keys rows.  Raises :class:`StreamingError`
+    when a logged insert is not in the table.
+    """
+    key = row_values(table.schema)
+    appended: List[Dict[str, Any]] = []
+    missing: Dict[Any, int] = {}  # inserts to remove from the copied rows
+    for record in reversed(future):
+        if record.op in (INSERT, UPDATE):
+            wanted = key(table._normalize(record.row))
+            for index in range(len(appended) - 1, -1, -1):
+                if key(appended[index]) == wanted:
+                    del appended[index]
+                    break
+            else:
+                missing[wanted] = missing.get(wanted, 0) + 1
+        if record.op in (DELETE, UPDATE):
+            appended.append(table._normalize(record.old_row))
+    rewound = table.copy()
+    rows = rewound._rows
+    for index in range(len(rows) - 1, -1, -1):
+        if not missing:
+            break
+        stored = key(rows[index])
+        count = missing.get(stored)
+        if count:
+            del rows[index]
+            if count == 1:
+                del missing[stored]
+            else:
+                missing[stored] = count - 1
+    if missing:
+        raise StreamingError(
+            "change log is inconsistent with the stored table: "
+            "a logged insert is missing from the head state"
+        )
+    rows.extend(appended)
+    return rewound
 
 
 @dataclass(frozen=True)
@@ -466,31 +509,9 @@ class StreamingMaintainer:
         database = self.warehouse.database
         for name in others:
             future = self.changes.log(name).records_after(last_seq)
-            if not future:
-                continue
-            table = database._tables[name]  # raw rows; no fault/IO charge
-            rows = [dict(row) for row in table.rows()]
-            for record in reversed(future):
-                if record.op in (INSERT, UPDATE):
-                    self._remove_one(rows, record.row)
-                if record.op in (DELETE, UPDATE):
-                    rows.append(dict(record.old_row))
-            rewound = Table(table.schema, table.blocking_factor, io=database.io)
-            rewound.insert_many(rows, count_io=False)
-            rewinds[name] = rewound
+            if future:  # raw table: no fault, no I/O charge
+                rewinds[name] = _rewound(database._tables[name], future)
         return rewinds
-
-    @staticmethod
-    def _remove_one(rows: List[Dict[str, Any]], row: Mapping[str, Any]) -> None:
-        key = _row_key(row)
-        for index in range(len(rows) - 1, -1, -1):
-            if _row_key(rows[index]) == key:
-                del rows[index]
-                return
-        raise StreamingError(
-            "change log is inconsistent with the stored table: "
-            "a logged insert is missing from the head state"
-        )
 
     def _apply_run(
         self,

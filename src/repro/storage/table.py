@@ -9,7 +9,9 @@ table's :class:`IOCounter`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import RelationSchema
 from repro.errors import StorageError
@@ -88,38 +90,60 @@ class Table:
 
         Rows are matched after normalization (short or qualified column
         names accepted), so the caller can pass exactly what it inserted.
-        Returns the rows actually removed — a row with no stored match is
-        skipped, not an error.  Charges one read per block scanned plus
-        one write per block of removed rows.
+        The first stored occurrence goes, so the kept rows keep their
+        order.  Returns the rows actually removed, in stored order — a
+        row with no stored match is skipped, not an error.
+
+        One pass, no sort: rows are keyed by :func:`row_values`, and only
+        stored rows whose value in one column is among the given rows'
+        values in that column are keyed at all.  Charges one read per
+        block scanned plus one write per block of removed rows.
         """
-        wanted: Dict[tuple, int] = {}
+        key = row_values(self.schema)
+        wanted: Dict[Any, int] = {}
         for row in rows:
-            key = tuple(sorted(self._normalize(row).items()))
-            wanted[key] = wanted.get(key, 0) + 1
+            k = key(self._normalize(row))
+            wanted[k] = wanted.get(k, 0) + 1
         if not wanted:
             return []
         if count_io:
             self.io.read_blocks(self.num_blocks)
-        kept: List[Dict[str, Any]] = []
-        removed: List[Dict[str, Any]] = []
-        for stored in self._rows:
-            key = tuple(sorted(stored.items()))
-            if wanted.get(key, 0) > 0:
-                wanted[key] -= 1
-                removed.append(stored)
-            else:
-                kept.append(stored)
-        if removed:
-            self._rows[:] = kept
-            if self._colcache is not None:
-                self._colcache.invalidate()
-            if count_io:
-                self.io.write_blocks(
-                    block_count(len(removed), self.blocking_factor)
-                )
-            if self.write_hook is not None:
-                self.write_hook("delete", removed)
+        stored = self._rows
+        hits: List[int] = []
+        for index in self._candidates(wanted):
+            k = key(stored[index])
+            count = wanted.get(k)
+            if count:
+                wanted[k] = count - 1
+                hits.append(index)
+        if not hits:
+            return []
+        removed = [stored[index] for index in hits]
+        for index in reversed(hits):
+            del stored[index]
+        if self._colcache is not None:
+            self._colcache.invalidate()
+        if count_io:
+            self.io.write_blocks(block_count(len(removed), self.blocking_factor))
+        if self.write_hook is not None:
+            self.write_hook("delete", removed)
         return removed
+
+    def _candidates(self, wanted: Mapping[Any, int]) -> List[int]:
+        """Positions of the stored rows that may equal a ``wanted`` key:
+        those whose value in the column with the most distinct wanted
+        values is among them."""
+        names = self.schema.attribute_names
+        if len(names) == 1:
+            column, values = names[0], set(wanted)
+        else:
+            by_column = [set(values) for values in zip(*wanted)]
+            if not by_column:  # no columns: every row is the empty row
+                return list(range(len(self._rows)))
+            best = max(range(len(names)), key=lambda i: len(by_column[i]))
+            column, values = names[best], by_column[best]
+        matches = map(values.__contains__, map(itemgetter(column), self._rows))
+        return list(compress(range(len(self._rows)), matches))
 
     def _normalize(self, row: Mapping[str, Any]) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
@@ -213,3 +237,29 @@ def table_from_rows(
     table = Table(schema, blocking_factor, io)
     table.insert_many(rows, count_io=False)
     return table
+
+
+def row_values(schema: RelationSchema) -> Callable[[Mapping[str, Any]], Any]:
+    """A function giving a normalized row's values in ``schema`` order.
+
+    The result is hashable and compares like the row, so it keys rows
+    in bag operations; a one-column schema gives the bare value.
+    """
+    names = schema.attribute_names
+    return itemgetter(*names) if names else lambda row: ()
+
+
+def row_items(row: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
+    """A row as its ``(column, value)`` pairs sorted by column name:
+    hashable, and equal for rows equal whatever their key order."""
+    return tuple(sorted(row.items()))
+
+
+def items_order(items: Tuple[Tuple[str, Any], ...]) -> tuple:
+    """A sort key for :func:`row_items` tuples that orders NULLs.
+
+    A NULL sorts before every value of its column, where comparing the
+    pairs themselves raises ``TypeError``; rows without NULLs sort
+    exactly as their pairs do.
+    """
+    return tuple((name, value is not None, value) for name, value in items)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import WarehouseError
+from repro.storage.table import items_order, row_items
 from repro.warehouse.maintenance import INCREMENTAL, RECOMPUTE
 from repro.warehouse.warehouse import DataWarehouse
 from repro.workload.spec import Workload
@@ -204,9 +205,10 @@ def row_multiset(rows) -> List[tuple]:
     """Rows as a sorted list of sorted ``(column, value)`` tuples.
 
     Two tables hold the same rows, in any order and counting
-    duplicates, exactly when their multisets are equal.
+    duplicates, exactly when their multisets are equal.  NULLs sort
+    first (:func:`~repro.storage.table.items_order`).
     """
-    return sorted(tuple(sorted(row.items())) for row in rows)
+    return sorted(map(row_items, rows), key=items_order)
 
 
 @dataclass

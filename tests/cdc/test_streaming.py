@@ -13,6 +13,7 @@ from repro.mvpp.config import DesignConfig
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.faults import FaultPolicy
 from repro.warehouse import DataWarehouse
+from repro.warehouse.simulation import row_multiset
 from repro.workload import paper_workload
 from repro.workload.datagen import paper_rows
 
@@ -245,6 +246,33 @@ class TestCoalesce:
         assert inserts == [{"a": 1}]
         assert deletes == []
         assert cancelled == 2
+
+    @pytest.mark.parametrize("value", [5, "a3"])
+    def test_null_sorts_before_a_value(self, value):
+        records = [
+            self._record(INSERT, row={"a": 1, "b": value}, seq=1),
+            self._record(INSERT, row={"a": 1, "b": None}, seq=2),
+            self._record(DELETE, old_row={"a": 2, "b": value}, seq=3),
+            self._record(DELETE, old_row={"a": 2, "b": None}, seq=4),
+        ]
+        inserts, deletes, cancelled = _coalesce(records)
+        assert inserts == [{"a": 1, "b": None}, {"a": 1, "b": value}]
+        assert deletes == [{"a": 2, "b": None}, {"a": 2, "b": value}]
+        assert cancelled == 0
+
+    def test_drain_takes_a_null_beside_a_value(self, warehouse):
+        warehouse.enable_streaming(LAZY)
+        warehouse.apply_update(
+            "Order",
+            [dict(NEW_ORDER, quantity=None), dict(NEW_ORDER, quantity=5)],
+            policy="stream",
+        )
+        report = warehouse.drain_changes()
+        assert report.converged
+        for view in warehouse.views:
+            stored = warehouse.database.table(view.name).rows()
+            expected = warehouse.engine.execute(view.plan).rows()
+            assert row_multiset(stored) == row_multiset(expected), view.name
 
 
 class TestFaultDegradation:

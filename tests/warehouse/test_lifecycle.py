@@ -129,3 +129,16 @@ def test_row_multiset_ignores_order_but_counts_duplicates():
     a = [{"x": 1, "y": "a"}, {"y": "b", "x": 2}]
     assert row_multiset(a) == row_multiset(list(reversed(a)))
     assert row_multiset(a) != row_multiset(a + [a[0]])
+
+
+def test_row_multiset_orders_nulls_first():
+    rows = [{"x": 1, "y": 5}, {"x": 1, "y": None}, {"x": 0, "y": "a3"}]
+    assert row_multiset(rows[:2]) == [
+        (("x", 1), ("y", None)),
+        (("x", 1), ("y", 5)),
+    ]
+    null_free = [{"x": 2, "y": "b"}, {"x": 1, "y": "c"}, {"x": 1, "y": "a"}]
+    assert row_multiset(null_free) == sorted(
+        tuple(sorted(row.items())) for row in null_free
+    )
+    assert row_multiset([{"y": "a3"}, {"y": None}])[0] == (("y", None),)
