@@ -217,27 +217,6 @@ class StatisticsCatalog:
     def partition_scheme(self, relation: str) -> Optional["PartitionScheme"]:
         return self._partitions.get(relation)
 
-    def shard_statistics(
-        self, relation: str, shard: int, fraction: Optional[float] = None
-    ) -> RelationStatistics:
-        """Statistics of one shard of a partitioned relation.
-
-        Defaults to a uniform split of the relation's registered
-        statistics across its scheme's shards; pass ``fraction`` to
-        model skew.  Blocks shrink proportionally, never below one
-        block for a non-empty shard (same rule as :meth:`RelationStatistics.scaled`).
-        """
-        scheme = self._partitions.get(relation)
-        if scheme is None:
-            raise CatalogError(f"relation {relation!r} is not partitioned")
-        if not 0 <= shard < scheme.shards:
-            raise CatalogError(
-                f"shard {shard} out of range for {relation!r}"
-            )
-        if fraction is None:
-            fraction = 1.0 / scheme.shards
-        return self.relation(relation).scaled(fraction)
-
     def histogram(self, attribute: str) -> Optional["EquiWidthHistogram"]:
         return self._histograms.get(attribute)
 

@@ -588,7 +588,6 @@ class StreamingMaintainer:
             return False
         if shadow is not stored:
             database.register(view.name, shadow)
-            warehouse.engine.indexes.invalidate(view.name)
             warehouse.engine.build_cache.invalidate(view.name)
         warehouse._committed_cards[view.name] = shadow.cardinality
         self._journal(

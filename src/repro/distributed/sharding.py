@@ -41,9 +41,6 @@ class ShardCatalog:
         self._schemes: Dict[str, PartitionScheme] = {}
         # (relation, shard) -> (primary, replicas...)
         self._sites: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-        self._query_weights: Dict[Tuple[str, int], float] = {}
-        self._update_weights: Dict[Tuple[str, int], float] = {}
-        self._fractions: Dict[Tuple[str, int], float] = {}
         # Deterministic round-robin cursors for replica routing.
         self._cursors: Dict[Tuple[str, int], int] = {}
 
@@ -153,51 +150,18 @@ class ShardCatalog:
         return site
 
     # ----------------------------------------------------------------- weights
-    def set_shard_weights(
-        self,
-        relation: str,
-        shard: int,
-        query: Optional[float] = None,
-        update: Optional[float] = None,
-        fraction: Optional[float] = None,
-    ) -> None:
-        """Override one shard's per-shard fq/fu weights and data fraction."""
-        scheme = self.require_scheme(relation)
-        if not 0 <= shard < scheme.shards:
-            raise DistributedError(
-                f"shard {shard} out of range for {relation!r}"
-            )
-        for name, value in (
-            ("query", query), ("update", update), ("fraction", fraction)
-        ):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise DistributedError(
-                    f"{name} weight out of range for "
-                    f"{relation!r}#{shard}: {value}"
-                )
-        if query is not None:
-            self._query_weights[(relation, shard)] = query
-        if update is not None:
-            self._update_weights[(relation, shard)] = update
-        if fraction is not None:
-            self._fractions[(relation, shard)] = fraction
-
     def query_weight(self, relation: str, shard: int) -> float:
-        """P(a query execution touches this shard); 1.0 without pruning."""
+        """P(a query execution touches this shard): 1.0, as without pruning."""
         self.require_scheme(relation)
-        return self._query_weights.get((relation, shard), 1.0)
+        return 1.0
 
     def update_weight(self, relation: str, shard: int) -> float:
-        """Fraction of the relation's fu landing on this shard (Σ = 1)."""
-        scheme = self.require_scheme(relation)
-        return self._update_weights.get(
-            (relation, shard), 1.0 / scheme.shards
-        )
+        """Fraction of the relation's fu landing on this shard: uniform."""
+        return 1.0 / self.require_scheme(relation).shards
 
     def shard_fraction(self, relation: str, shard: int) -> float:
-        """Fraction of the relation's rows/blocks held by this shard."""
-        scheme = self.require_scheme(relation)
-        return self._fractions.get((relation, shard), 1.0 / scheme.shards)
+        """Fraction of the relation's rows/blocks held by this shard: uniform."""
+        return 1.0 / self.require_scheme(relation).shards
 
     # ------------------------------------------------------------------ bulk
     @classmethod

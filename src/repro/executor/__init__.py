@@ -31,7 +31,6 @@ from repro.executor.engine import (
     ExecutionEngine,
     load_database,
 )
-from repro.executor.indexes import IndexManager, index_nested_loop_join
 from repro.executor.physical import (
     BuildSideCache,
     ExecutionContext,
@@ -65,7 +64,6 @@ __all__ = [
     "HashAggregate",
     "HashJoin",
     "INDEX_NESTED_LOOP",
-    "IndexManager",
     "IndexNestedLoopJoin",
     "JOIN_METHODS",
     "LimitOperator",
@@ -82,7 +80,6 @@ __all__ = [
     "VECTORIZED",
     "charge_materialize",
     "execute_operator",
-    "index_nested_loop_join",
     "scan_of",
     "load_database",
 ]

@@ -18,7 +18,7 @@ from repro.algebra.expressions import Expression
 from repro.algebra.operators import AggregateFunction, AggregateSpec
 from repro.catalog.schema import RelationSchema
 from repro.errors import ExecutionError
-from repro.storage.block import IOCounter
+from repro.storage.block import block_count
 from repro.storage.table import Table
 
 
@@ -111,6 +111,60 @@ def _hash_join(
             merged = {**row, **match}
             if residual is None or residual.evaluate(merged) is True:
                 out.insert(merged)
+    return out
+
+
+def _index_join(
+    outer: Table,
+    inner: Table,
+    equi_pair: Tuple[str, str],
+    leftover: Optional[Expression] = None,
+) -> Table:
+    """Index-nested-loop join: probe an index on the stored ``inner`` key.
+
+    The index is a plain value -> positions dict built here from the
+    inner rows; the oracle shares no index with the engine it checks.
+    Its build charges ``B(inner)`` (after a fault-injecting proxy's read
+    fault) unless a join has charged it since the inner table last
+    changed, as recorded in the table's
+    :attr:`~repro.storage.columnar.ColumnView.charged_builds`.  Then
+    ``B(outer)``, and per outer row with a non-NULL key one probe read
+    plus the blocks holding its matches (a proxy draws a read fault on
+    each probe).  NULL keys match nothing.  The ``leftover`` predicate
+    filters the joined rows, as a selection above the join would.
+    """
+    outer_key = outer.schema.attribute(equi_pair[0]).name
+    inner_key = inner.schema.attribute(equi_pair[1]).name
+    charged = inner.column_view().charged_builds
+    if inner_key not in charged:
+        inner.rows()  # a proxy draws its read fault here
+        inner.io.read_blocks(inner.num_blocks)
+        charged.add(inner_key)
+    stored = inner._rows
+    index: Dict[Any, List[int]] = {}
+    for position, row in enumerate(stored):
+        index.setdefault(row[inner_key], []).append(position)
+
+    schema = outer.schema.join(inner.schema)
+    blocking_factor = _joined_blocking_factor(outer, inner)
+    joined = Table(schema, blocking_factor, io=outer.io)
+    for row in outer.scan(count_io=True):
+        key = row[outer_key]
+        if key is None:
+            continue
+        positions = index.get(key, [])
+        inner.io.read_blocks(
+            1 + block_count(len(positions), inner.blocking_factor)
+        )
+        rows = stored if type(inner) is Table else inner.rows()
+        for position in positions:
+            joined.insert({**row, **rows[position]})
+    if leftover is None:
+        return joined
+    out = Table(schema, blocking_factor, io=outer.io)
+    for row in joined.rows():
+        if leftover.evaluate(row) is True:
+            out.insert(row)
     return out
 
 
@@ -242,8 +296,6 @@ def _sort_table(source: Table, keys: Sequence[Tuple[str, bool]]) -> Table:
 
 def _limit_table(source: Table, count: int) -> Table:
     """LIMIT: read only the blocks holding the first ``count`` rows."""
-    from repro.storage.block import block_count
-
     needed_blocks = block_count(min(count, source.cardinality), source.blocking_factor)
     source.io.read_blocks(needed_blocks)
     out = Table(source.schema, source.blocking_factor, io=source.io)

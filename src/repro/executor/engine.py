@@ -145,9 +145,6 @@ class ExecutionEngine:
         #: verifier and error-severity findings raise ``LintError``.
         self.lint = lint
         self.build_cache = BuildSideCache()
-        from repro.executor.indexes import IndexManager
-
-        self.indexes = IndexManager()
 
     def over(self, database: Database) -> "ExecutionEngine":
         """An engine with this one's settings reading ``database``.
@@ -281,7 +278,6 @@ class ExecutionEngine:
                 else None
             ),
             database=self.database,
-            indexes=self.indexes,
             record=recording,
         )
         columns, length = materialize(root, ctx)
@@ -370,6 +366,7 @@ class ExecutionEngine:
     def _reference_join(self, plan: Join) -> Table:
         from repro.executor._rowwise import (
             _hash_join,
+            _index_join,
             _nested_loop_join,
             _sort_merge_join,
         )
@@ -390,7 +387,6 @@ class ExecutionEngine:
             # "establish a proper index on it afterwards" for
             # materialized views (Section 3.2).  Multi-key conditions
             # probe on the first key and filter the rest.
-            from repro.executor.indexes import index_nested_loop_join
             from repro.algebra import predicates as P
             from repro.algebra.expressions import column, compare
 
@@ -399,8 +395,7 @@ class ExecutionEngine:
                 [residual]
                 + [compare(column(a), "=", column(b)) for a, b in rest]
             )
-            index = self.indexes.ensure(plan.right.name, inner, first[1])
-            return index_nested_loop_join(outer, index, first, leftover)
+            return _index_join(outer, inner, first, leftover)
         return _hash_join(outer, inner, equi, residual)
 
     @staticmethod

@@ -87,7 +87,7 @@ class ExecutionContext:
     the seeded fault stream).
     """
 
-    __slots__ = ("io", "batch_size", "cache", "database", "indexes", "record")
+    __slots__ = ("io", "batch_size", "cache", "database", "record")
 
     def __init__(
         self,
@@ -95,14 +95,12 @@ class ExecutionContext:
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: Optional["BuildSideCache"] = None,
         database=None,
-        indexes=None,
         record: bool = False,
     ):
         self.io = io
         self.batch_size = batch_size
         self.cache = cache
         self.database = database
-        self.indexes = indexes
         self.record = record
 
 
@@ -296,6 +294,22 @@ class Scan(PhysicalOperator):
             ).inc()
         return self.require_table().column_view().positions(name)
 
+    def charge_index_build(self, name: str) -> None:
+        """Charge ``B(table)`` for building the index of column ``name``.
+
+        Charged once per write of the table: a column already in the
+        view's ``charged_builds`` costs nothing.  A fault-injecting
+        proxy draws its read fault first, as ``rows()`` would.
+        """
+        table = self.require_table()
+        charged = table.column_view().charged_builds
+        if name in charged:
+            return
+        if type(table) is not Table:
+            table.rows()  # fault draw; the copy itself is discarded
+        table.io.read_blocks(table.num_blocks)
+        charged.add(name)
+
     def _compute(self, ctx: ExecutionContext):
         return self.touch_scan(ctx)
 
@@ -341,28 +355,18 @@ class Filter(PhysicalOperator):
     def _compute(self, ctx: ExecutionContext):
         child = self.children[0]
         columns, length = _finish_scan(_prepare(child, ctx), ctx)
-        if self._select is not None:
-            first = None
-            if self._lookup is not None:
-                name, value = self._lookup
-                index = child.positions(name, ctx, self.name)
-                hits = index.get(value, ())
-                nulls = index.get(None, ())
-                kept = list(heapq.merge(hits, nulls)) if nulls else hits
-                first = (kept, nulls)
-            keep = self._select(columns, length, first)
-        else:
-            names = self._names
-            evaluate = self.predicate.evaluate
-            keep = [
-                position
-                for position, values in enumerate(zip(*columns))
-                if evaluate(dict(zip(names, values))) is True
-            ]
-            if ctx.record:
-                obs.metrics().counter(
-                    "executor.row_fallbacks", operator=self.name
-                ).inc()
+        first = None
+        if self._lookup is not None:
+            name, value = self._lookup
+            index = child.positions(name, ctx, self.name)
+            hits = index.get(value, ())
+            nulls = index.get(None, ())
+            kept = list(heapq.merge(hits, nulls)) if nulls else hits
+            first = (kept, nulls)
+        keep = _selected(
+            self._select, self.predicate, self._names, columns, length,
+            ctx, self.name, first,
+        )
         take = _taker(keep, length)
         return [take(col) for col in columns], len(keep)
 
@@ -370,6 +374,29 @@ class Filter(PhysicalOperator):
     def label(self) -> str:
         vectorized = "vectorized" if self._select is not None else "row-fallback"
         return f"Filter[{L._pretty(self.predicate)}] ({vectorized})"
+
+
+def _selected(
+    select, predicate, names, columns, length, ctx, operator, first=None
+) -> List[int]:
+    """Ascending positions where ``predicate`` is ``True``.
+
+    ``select`` is the predicate's compiled kernel (``first`` as
+    :func:`~repro.executor.batch.compile_selection` takes it); when it
+    did not compile (``None``) the predicate is evaluated on row dicts
+    keyed by ``names``, counted as ``executor.row_fallbacks{operator}``.
+    """
+    if select is not None:
+        return select(columns, length, first)
+    evaluate = predicate.evaluate
+    keep = [
+        position
+        for position, values in enumerate(zip(*columns))
+        if evaluate(dict(zip(names, values))) is True
+    ]
+    if ctx.record:
+        obs.metrics().counter("executor.row_fallbacks", operator=operator).inc()
+    return keep
 
 
 class Projection(PhysicalOperator):
@@ -986,15 +1013,27 @@ class MergeJoin(_JoinBase):
 
 
 class IndexNestedLoopJoin(_JoinBase):
-    """Probe a hash index on the stored inner relation (paper §3.2).
+    """Probe the stored inner relation's position index (paper §3.2).
 
-    Delegates to :func:`repro.executor.indexes.index_nested_loop_join`
-    so index build/probe I/O and fault draws stay byte-identical; the
-    outer input is adapted to a table when it is not already a scan.
+    The inner input is a :class:`Scan`; each outer row in turn probes
+    its table's :meth:`~repro.storage.columnar.ColumnView.positions`
+    index on the inner key, so the output is outer-major with each
+    row's matches in stored order.  An outer row whose key is NULL is
+    not probed and matches nothing; the inner NULLs, which the index
+    keeps under ``None``, are never asked for.  The leftover conjuncts
+    (the residual and any further equi-pairs) then filter the joined
+    rows as a :class:`Filter` above the join would: compiled, or on
+    row dicts when they do not compile.
+
+    Block I/O, in order: ``B(inner)`` for the index build unless a join
+    has charged it since the inner table last changed
+    (:meth:`Scan.charge_index_build`), ``B(outer)``, and per probe one
+    index read plus ``⌈matches / bf⌉`` blocks of matching rows, each
+    probe of a fault-injecting proxy drawing its read fault.
     """
 
     name = "index-nested-loop-join"
-    __slots__ = ("equi_pair", "leftover")
+    __slots__ = ("equi_pair", "leftover", "_okey", "_ikey", "_select")
 
     def __init__(
         self,
@@ -1006,35 +1045,43 @@ class IndexNestedLoopJoin(_JoinBase):
         super().__init__(left, right)
         self.equi_pair = equi_pair
         self.leftover = leftover
+        outer_key = left.schema.attribute(equi_pair[0]).name
+        self._okey = list(self._lnames).index(outer_key)
+        self._ikey = right.schema.attribute(equi_pair[1]).name
+        self._select = compile_selection(leftover, self.schema.attribute_names)
 
     def _compute(self, ctx: ExecutionContext):
-        from repro.executor.indexes import index_nested_loop_join
-
-        if ctx.indexes is None:
-            raise ExecutionError(
-                "index-nested-loop join needs an IndexManager in the context"
-            )
         left_prep = _prepare(self.left, ctx)
-        inner_table = self.right.require_table()
-        index = ctx.indexes.ensure(
-            self.right.relation_name, inner_table, self.equi_pair[1]
+        inner = self.right
+        inner.charge_index_build(self._ikey)
+        ocols, _ = _finish_scan(left_prep, ctx)
+        index = inner.positions(self._ikey, ctx, self.name)
+        table = inner.require_table()
+        read, bf = table.io.read_blocks, table.blocking_factor
+        draw = table.rows if type(table) is not Table else None
+        outer_pos: List[int] = []
+        inner_pos: List[int] = []
+        for i, key in enumerate(ocols[self._okey]):
+            if key is None:
+                continue
+            matches = index.get(key, ())
+            read(1 + block_count(len(matches), bf))
+            if draw is not None:
+                draw()  # fault draw; the copy itself is discarded
+            outer_pos.extend([i] * len(matches))
+            inner_pos.extend(matches)
+        columns = _gather(
+            self._mapping, ocols, inner._columns(), outer_pos, inner_pos
         )
-        if isinstance(left_prep.op, Scan):
-            outer_table = left_prep.op.require_table()
-        else:
-            outer_table = Table(
-                self.left.schema, self.left.blocking_factor, io=ctx.io
-            )
-            names = self.left.schema.attribute_names
-            outer_table._rows = [
-                dict(zip(names, values)) for values in zip(*left_prep.columns)
-            ]
-        result = index_nested_loop_join(
-            outer_table, index, self.equi_pair, self.leftover
+        length = len(outer_pos)
+        if self.leftover is None:
+            return columns, length
+        keep = _selected(
+            self._select, self.leftover, self.schema.attribute_names,
+            columns, length, ctx, self.name,
         )
-        names = self.schema.attribute_names
-        rows = result._rows
-        return [[row[name] for row in rows] for name in names], len(rows)
+        take = _taker(keep, length)
+        return [take(col) for col in columns], len(keep)
 
     @property
     def label(self) -> str:
@@ -1263,8 +1310,9 @@ class BuildSideCache:
     cdc delta) makes the build neither stored nor looked up, so one
     cache serves the warehouse engine and every delta evaluation over
     it.  Invalidation mirrors ``CostCache``: warehouses call
-    :meth:`invalidate` alongside ``IndexManager.invalidate`` whenever a
-    relation or view changes.
+    :meth:`invalidate` whenever a relation or view changes.  (The
+    position indexes of :mod:`repro.storage.columnar` need no such call:
+    a table's own writes drop them.)
 
     Cached entries replay their recorded build I/O on every hit, so
     measured block counts are identical with and without the cache —
@@ -1495,7 +1543,6 @@ def execute_operator(
     io,
     batch_size: int = DEFAULT_BATCH_SIZE,
     database=None,
-    indexes=None,
 ) -> Table:
     """Drive one operator tree to completion and build its result table.
 
@@ -1504,9 +1551,7 @@ def execute_operator(
     single operator over stored tables, e.g.
     ``execute_operator(Filter(scan_of(t), p), io=t.io)``.
     """
-    ctx = ExecutionContext(
-        io=io, batch_size=batch_size, database=database, indexes=indexes
-    )
+    ctx = ExecutionContext(io=io, batch_size=batch_size, database=database)
     columns, length = materialize(op, ctx)
     return table_from_columns(
         op.schema, op.blocking_factor, columns, length, io

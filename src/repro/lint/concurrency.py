@@ -5,9 +5,9 @@ clock, so a design or refresh is a pure function of its inputs and the
 config seed.  These rules keep it that way over a package-wide module
 index (also the call graph the effect analyzer walks):
 
-* ``X103`` — cache write (``CostCache`` / ``BuildSideCache`` /
-  ``IndexManager``: ``store`` / ``invalidate`` / ``ensure`` / ``clear``)
-  outside the known invalidation-site modules;
+* ``X103`` — cache write (``CostCache`` / ``BuildSideCache``:
+  ``store`` / ``invalidate`` / ``clear``) outside the known
+  invalidation-site modules;
 * ``X104`` — nondeterministically seeded RNG: ``random.Random()`` with
   no arguments, or an argument-less ``.seed()`` call;
 * ``X105`` — ``time.sleep`` outside obs/benchmarks (schedulers run on
@@ -43,20 +43,18 @@ from repro.lint.diagnostics import (
 )
 
 #: Cache-owner attribute names whose write methods X103 guards.
-CACHE_ATTRS = {"cost_cache", "build_cache", "indexes"}
+CACHE_ATTRS = {"cost_cache", "build_cache"}
 
 #: Cache write methods (reads like ``lookup``/``get`` are always fine).
-CACHE_WRITE_METHODS = {"store", "invalidate", "ensure", "clear"}
+CACHE_WRITE_METHODS = {"store", "invalidate", "clear"}
 
 #: Module path suffixes allowed to write caches: the owners themselves
 #: plus the documented invalidation sites (docs/lint.md lists them).
 CACHE_SITE_SUFFIXES = (
     "repro/mvpp/cost.py",           # CostCache owner
     "repro/executor/physical.py",   # BuildSideCache owner
-    "repro/executor/indexes.py",    # IndexManager owner
     "repro/executor/engine.py",     # engine wires its own caches
     "repro/warehouse/warehouse.py", # sync_statistics / load / update sites
-    "repro/resilience/scheduler.py",  # refresh commit invalidation
     "repro/mvpp/generation.py",     # design-run cache ownership
     "repro/cdc/streaming.py",       # streaming delta commit invalidation
 )

@@ -265,7 +265,6 @@ class RefreshScheduler:
                     self._drain_delays()
                     self._breaker_event(view.name, breaker, breaker.record_success)
                     self.warehouse._mark_fresh(view)
-                    self.warehouse.engine.indexes.invalidate(view.name)
                     self._epochs[view.name] = self.epoch(view.name) + 1
                     self._journal(
                         "resilience.epoch.advance",

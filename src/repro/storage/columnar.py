@@ -12,7 +12,10 @@ demand (:meth:`ColumnView.positions`): each value mapped to the
 ascending row positions holding it, built by :func:`hash_groups`.  The
 executor answers a leading ``column = literal`` filter conjunct and a
 single-column GROUP BY over a stored table from it instead of a pass
-over the column.  Invalidation drops the indexes with the columns.
+over the column, and an index-nested-loop join probes it for the
+stored inner relation (the paper's §3.2: an index can always be built
+on a materialized intermediate).  Invalidation drops the indexes with
+the columns.
 
 Columns and indexes are purely in-memory access paths — they never
 touch the table's :class:`~repro.storage.block.IOCounter` and charge
@@ -21,6 +24,15 @@ it: operators charge reads and writes at scan/materialize boundaries,
 whether they then iterate rows, columns or an index (a filter answered
 from an index still charges the linear scan the cost model assumes).
 
+The one charge an index carries is its build, and only a join pays
+it: ``B(table)`` the first time an index-nested-loop join probes a
+column after the table last changed.  :attr:`ColumnView.charged_builds`
+records the columns whose build a join has charged; both engines read
+and set it, and invalidation clears it with the indexes.  So the
+charge follows the table, not the engine: a filter or GROUP BY that
+built the index charged nothing for it, and a second engine (or an
+overlay engine) over an unchanged table does not charge it again.
+
 Fault-injecting proxies (:class:`repro.resilience.faults.FaultyTable`)
 share the wrapped table's view instance, so a mutation through either
 handle invalidates the one cache both sides read.
@@ -28,7 +40,7 @@ handle invalidates the one cache both sides read.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Set
 
 
 def hash_groups(keys: Iterable[Any]) -> Dict[Any, List[int]]:
@@ -51,10 +63,10 @@ class ColumnView:
     maps attribute *names* (the table schema's qualified names) to
     columns and is rebuilt per column on demand after invalidation.
     Position indexes are keyed the same way and dropped with the
-    columns.
+    columns, and so is :attr:`charged_builds`.
     """
 
-    __slots__ = ("_rows", "_columns", "_positions", "_cardinality")
+    __slots__ = ("_rows", "_columns", "_positions", "_charged", "_cardinality")
 
     def __init__(self, rows: List[Dict[str, Any]]) -> None:
         #: The table's row list, not the table: a cycle would keep a
@@ -62,13 +74,23 @@ class ColumnView:
         self._rows = rows
         self._columns: Dict[str, List[object]] = {}
         self._positions: Dict[str, Dict[Any, List[int]]] = {}
+        self._charged: Set[str] = set()
         self._cardinality: int = -1
 
     def invalidate(self) -> None:
         """Drop all cached columns and indexes (called by the owning table)."""
         self._columns.clear()
         self._positions.clear()
+        self._charged.clear()
         self._cardinality = -1
+
+    def _revalidate(self) -> None:
+        rows = self._rows
+        if self._cardinality != len(rows):
+            # Stale for a reason invalidation didn't see (defensive —
+            # direct ``_rows`` mutation); rebuild everything lazily.
+            self.invalidate()
+            self._cardinality = len(rows)
 
     @property
     def cardinality(self) -> int:
@@ -82,15 +104,10 @@ class ColumnView:
         table's schema (callers resolve short names first, with the
         same rules the row engine uses).
         """
-        rows = self._rows
-        if self._cardinality != len(rows):
-            # Stale for a reason invalidation didn't see (defensive —
-            # direct ``_rows`` mutation); rebuild everything lazily.
-            self.invalidate()
-            self._cardinality = len(rows)
+        self._revalidate()
         column = self._columns.get(name)
         if column is None:
-            column = [row[name] for row in rows]
+            column = [row[name] for row in self._rows]
             self._columns[name] = column
         return column
 
@@ -109,6 +126,13 @@ class ColumnView:
             self._positions[name] = index
         return index
 
+    @property
+    def charged_builds(self) -> Set[str]:
+        """Columns whose index build an index-nested-loop join has
+        charged since the table last changed; the executor adds to it."""
+        self._revalidate()
+        return self._charged
+
     def columns(self, names) -> List[List[object]]:
         """Columns for ``names`` (exact qualified names), in order."""
         return [self.column(name) for name in names]
@@ -120,11 +144,3 @@ class ColumnView:
     def has_index(self, name: str) -> bool:
         """Whether the position index of ``name`` is built (for tests)."""
         return name in self._positions
-
-
-def column_view_of(table) -> Optional[ColumnView]:
-    """The table's view if it supports one (``None`` otherwise)."""
-    getter = getattr(table, "column_view", None)
-    if getter is None:
-        return None
-    return getter()

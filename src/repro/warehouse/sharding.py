@@ -303,28 +303,6 @@ class ShardManager:
             for shard in scheme.all_shards
         )
 
-    def materialize_view(self, view: MaterializedView) -> Tuple[str, ...]:
-        """Build every shard of a co-partitioned view (no retry machinery).
-
-        The plain counterpart of
-        :meth:`repro.resilience.scheduler.RefreshScheduler.refresh_partitions`
-        for failure-free runs.  Returns the stored shard-table names.
-        """
-        base = self.copartition_base(view)
-        if base is None:
-            raise WarehouseError(
-                f"view {view.name!r} is not co-partitioned with any "
-                f"sharded relation"
-            )
-        scheme = self.catalog.require_scheme(base)
-        names = []
-        for shard in scheme.all_shards:
-            shard_view = self.shard_view(view, shard)
-            self.warehouse.maintainer.materialize(shard_view)
-            self.record_fresh(view, shard)
-            names.append(shard_view.name)
-        return tuple(names)
-
     # ------------------------------------------------------------- pruned serve
     def _prunable_schemes(self, plan: Operator) -> Dict[str, PartitionScheme]:
         """Schemes for every prunable leaf of ``plan`` — partitioned base

@@ -936,7 +936,6 @@ class DataWarehouse:
                         for done in built:
                             self.database.drop(done.name)
                             self._view_versions.pop(done.name, None)
-                            self.engine.indexes.invalidate(done.name)
                             self.engine.build_cache.invalidate(done.name)
                         self._view_versions.pop(view.name, None)
                         raise WarehouseError(
@@ -959,7 +958,6 @@ class DataWarehouse:
         for view in migration.drop:
             self.database.drop(view.name)
             self._committed_cards.pop(view.name, None)
-            self.engine.indexes.invalidate(view.name)
             self.engine.build_cache.invalidate(view.name)
         # Register the new views' estimated sizes so rewritten plans
         # (reading mv_* relations) remain estimable, e.g. by explain().
@@ -1095,7 +1093,6 @@ class DataWarehouse:
             span.set(delta_rows=len(rows))
             self.database.table(relation).insert_many(rows)
             self._base_versions[relation] = self._base_versions.get(relation, 0) + 1
-            self.engine.indexes.invalidate(relation)
             self.engine.build_cache.invalidate(relation)
             if self.sharding is not None:
                 affected = self.sharding.on_update(relation, rows)
@@ -1129,7 +1126,6 @@ class DataWarehouse:
                 else:
                     reports.append(self.maintainer.materialize(view))
                 self._mark_fresh(view)
-                self.engine.indexes.invalidate(view.name)
                 self.engine.build_cache.invalidate(view.name)
             span.set(views_refreshed=len(reports))
             self._note_update(relation, self.database.io.since(io_before).total)
@@ -1172,7 +1168,6 @@ class DataWarehouse:
             removed = self.database.table(relation).delete_many(rows)
             span.set(delta_rows=len(rows), removed=len(removed))
             self._base_versions[relation] = self._base_versions.get(relation, 0) + 1
-            self.engine.indexes.invalidate(relation)
             self.engine.build_cache.invalidate(relation)
             reports: List[RefreshReport] = []
             if policy == "stream":
@@ -1185,7 +1180,6 @@ class DataWarehouse:
                         continue
                     reports.append(self.maintainer.materialize(view))
                     self._mark_fresh(view)
-                    self.engine.indexes.invalidate(view.name)
                     self.engine.build_cache.invalidate(view.name)
             span.set(views_refreshed=len(reports))
             self._note_update(relation, self.database.io.since(io_before).total)

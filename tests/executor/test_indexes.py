@@ -1,28 +1,35 @@
-"""Unit tests for index management and index-nested-loop joins.
+"""Unit tests for the index-nested-loop join and its index build.
 
 Backs the paper's Section-3.2 claim: an index built on a materialized
 result makes probing it cheaper than rescanning, so materialization is
-never a loss at query time.
+never a loss at query time.  The join probes the position index of the
+stored inner table (``ColumnView.positions``); its build charges one
+pass over the inner table once per write of that table.
 """
 
 import pytest
 
 from repro.algebra.expressions import column, compare
+from repro.algebra.operators import Join, Relation
 from repro.catalog.datatypes import DataType
 from repro.catalog.schema import Attribute, RelationSchema
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, UnknownAttributeError
 from repro.executor.engine import (
+    ENGINES,
     HASH,
     INDEX_NESTED_LOOP,
     Database,
     ExecutionEngine,
     load_database,
 )
-from repro.executor.indexes import IndexManager, index_nested_loop_join
-from repro.executor.physical import NestedLoopJoin, execute_operator, scan_of
+from repro.executor.physical import (
+    IndexNestedLoopJoin,
+    NestedLoopJoin,
+    execute_operator,
+    scan_of,
+)
 from repro.storage.table import Table
 from repro.workload.datagen import paper_rows
-
 
 def make_table(name, cols, rows, bf=10, io=None):
     schema = RelationSchema(
@@ -34,8 +41,10 @@ def make_table(name, cols, rows, bf=10, io=None):
     return table
 
 
-@pytest.fixture
-def orders():
+CUSTOMER_COLUMNS = [("cid", DataType.INTEGER), ("city", DataType.STRING)]
+
+
+def make_orders():
     return make_table(
         "Order",
         [("id", DataType.INTEGER), ("cid", DataType.INTEGER)],
@@ -44,55 +53,119 @@ def orders():
     )
 
 
-@pytest.fixture
-def customers(orders):
+def make_customers(io=None):
     return make_table(
         "Customer",
-        [("cid", DataType.INTEGER), ("city", DataType.STRING)],
+        CUSTOMER_COLUMNS,
         [{"cid": i, "city": f"C{i}"} for i in range(6)],
         bf=3,
-        io=orders.io,
+        io=io,
     )
 
 
+@pytest.fixture
+def orders():
+    return make_orders()
+
+
+@pytest.fixture
+def customers(orders):
+    return make_customers(io=orders.io)
+
+
+def each_engine():
+    """``(engine, orders, customers, database)``, fresh tables per engine."""
+    for mode in ENGINES:
+        orders = make_orders()
+        customers = make_customers()
+        database = Database()
+        database.register("Order", orders)
+        database.register("Customer", customers)
+        yield mode, orders, customers, database
+
+
+def join_plan(orders, customers):
+    return Join(
+        Relation("Order", orders.schema),
+        Relation("Customer", customers.schema),
+        compare("Order.cid", "=", column("Customer.cid")),
+    )
+
+
+def run(database, plan, mode):
+    """(rows, reads) of one index-nested-loop run under ``mode``."""
+    engine = ExecutionEngine(database, INDEX_NESTED_LOOP, engine=mode)
+    before = database.io.snapshot()
+    result = engine.execute(plan)
+    return result.rows(), database.io.since(before).reads
+
+
 class TestIndexManager:
-    def test_build_once(self, customers):
-        manager = IndexManager()
-        a = manager.ensure("Customer", customers, "cid")
-        b = manager.ensure("Customer", customers, "cid")
-        assert a is b
-        assert len(manager) == 1
+    """The index build: ``B(inner)``, charged once per write of the inner."""
 
-    def test_rebuild_after_growth(self, customers):
-        manager = IndexManager()
-        a = manager.ensure("Customer", customers, "cid")
-        customers.insert({"cid": 99, "city": "X"})
-        b = manager.ensure("Customer", customers, "cid")
-        assert a is not b
-        assert b.lookup(99, count_io=False)
+    def test_build_once(self):
+        for mode, orders, customers, database in each_engine():
+            plan = join_plan(orders, customers)
+            cold_rows, cold = run(database, plan, mode)
+            warm_rows, warm = run(database, plan, mode)
+            assert warm_rows == cold_rows, mode
+            assert cold - warm == customers.num_blocks, mode
+            assert customers.column_view().charged_builds == {"Customer.cid"}
 
-    def test_rebuild_after_table_replacement(self, customers):
-        manager = IndexManager()
-        a = manager.ensure("Customer", customers, "cid")
-        replacement = make_table(
-            "Customer",
-            [("cid", DataType.INTEGER), ("city", DataType.STRING)],
-            [{"cid": i, "city": "Y"} for i in range(6)],
-        )
-        b = manager.ensure("Customer", replacement, "cid")
-        assert a is not b
+    def test_rebuild_after_growth(self):
+        for mode, orders, customers, database in each_engine():
+            plan = join_plan(orders, customers)
+            run(database, plan, mode)
+            customers.insert({"cid": 99, "city": "X"})
+            orders.insert({"id": 30, "cid": 99})
+            rows, regrown = run(database, plan, mode)
+            _, warm = run(database, plan, mode)
+            assert regrown - warm == customers.num_blocks, mode
+            assert rows[-1] == {
+                "Order.id": 30,
+                "Order.cid": 99,
+                "Customer.cid": 99,
+                "Customer.city": "X",
+            }
+
+    def test_rebuild_after_table_replacement(self):
+        for mode, orders, customers, database in each_engine():
+            plan = join_plan(orders, customers)
+            run(database, plan, mode)
+            replacement = make_table(
+                "Customer",
+                CUSTOMER_COLUMNS,
+                [{"cid": i, "city": "Y"} for i in range(6)],
+                bf=3,
+            )
+            database.register("Customer", replacement)
+            rows, replaced = run(database, plan, mode)
+            _, warm = run(database, plan, mode)
+            assert replaced - warm == replacement.num_blocks, mode
+            assert {row["Customer.city"] for row in rows} == {"Y"}
 
     def test_invalidate(self, customers):
-        manager = IndexManager()
-        manager.ensure("Customer", customers, "cid")
-        manager.invalidate("Customer")
-        assert len(manager) == 0
+        view = customers.column_view()
+        for write in (
+            lambda: customers.insert({"cid": 7, "city": "Z"}),
+            lambda: customers.insert_many([{"cid": 8, "city": "Z"}]),
+            lambda: customers.delete_many([{"cid": 8, "city": "Z"}]),
+            customers.clear,
+        ):
+            view.charged_builds.add("Customer.cid")
+            write()
+            assert view.charged_builds == set()
 
-    def test_build_charges_one_pass(self, customers):
-        manager = IndexManager()
+    def test_build_charges_one_pass(self, orders, customers):
+        op = IndexNestedLoopJoin(
+            scan_of(orders), scan_of(customers), ("Order.cid", "Customer.cid")
+        )
         customers.io.reset()
-        manager.ensure("Customer", customers, "cid")
-        assert customers.io.reads == customers.num_blocks
+        execute_operator(op, io=orders.io)
+        # B(inner) + B(outer) + per order: 1 probe + 1 block of matches
+        assert customers.io.reads == (
+            customers.num_blocks + orders.num_blocks + 2 * orders.cardinality
+        )
 
 
 class TestIndexNestedLoopJoin:
@@ -102,9 +175,11 @@ class TestIndexNestedLoopJoin:
             NestedLoopJoin(scan_of(orders), scan_of(customers), condition),
             io=orders.io,
         )
-        index = IndexManager().ensure("Customer", customers, "cid")
-        indexed = index_nested_loop_join(
-            orders, index, ("Order.cid", "Customer.cid")
+        indexed = execute_operator(
+            IndexNestedLoopJoin(
+                scan_of(orders), scan_of(customers), ("Order.cid", "Customer.cid")
+            ),
+            io=orders.io,
         )
         key = lambda t: sorted(  # noqa: E731
             tuple(sorted(r.items())) for r in t.rows()
@@ -116,14 +191,16 @@ class TestIndexNestedLoopJoin:
         pays B(outer)·B(inner) while the index pays per-match blocks."""
         big_customers = make_table(
             "Customer",
-            [("cid", DataType.INTEGER), ("city", DataType.STRING)],
+            CUSTOMER_COLUMNS,
             [{"cid": i, "city": f"C{i}"} for i in range(600)],
             bf=3,
             io=orders.io,
         )
-        index = IndexManager().ensure("Customer", big_customers, "cid")
+        indexed = IndexNestedLoopJoin(
+            scan_of(orders), scan_of(big_customers), ("Order.cid", "Customer.cid")
+        )
         orders.io.reset()
-        index_nested_loop_join(orders, index, ("Order.cid", "Customer.cid"))
+        execute_operator(indexed, io=orders.io)
         indexed_io = orders.io.reads
         orders.io.reset()
         execute_operator(
@@ -137,19 +214,20 @@ class TestIndexNestedLoopJoin:
         assert indexed_io < orders.io.reads
 
     def test_wrong_key_rejected(self, orders, customers):
-        index = IndexManager().ensure("Customer", customers, "city")
-        with pytest.raises(ExecutionError):
-            index_nested_loop_join(
-                orders, index, ("Order.cid", "Customer.cid")
+        with pytest.raises(UnknownAttributeError):
+            IndexNestedLoopJoin(
+                scan_of(orders), scan_of(customers), ("Order.cid", "Customer.nope")
             )
 
     def test_residual_applied(self, orders, customers):
-        index = IndexManager().ensure("Customer", customers, "cid")
-        result = index_nested_loop_join(
-            orders,
-            index,
-            ("Order.cid", "Customer.cid"),
-            residual=compare("Order.id", "<", 10),
+        result = execute_operator(
+            IndexNestedLoopJoin(
+                scan_of(orders),
+                scan_of(customers),
+                ("Order.cid", "Customer.cid"),
+                leftover=compare("Order.id", "<", 10),
+            ),
+            io=orders.io,
         )
         assert result.cardinality == 10
 

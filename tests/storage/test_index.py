@@ -1,10 +1,16 @@
-"""Unit tests for hash and sorted indexes."""
+"""Unit tests for the position index a stored table keeps per column.
+
+``ColumnView.positions`` is a hash index: each value of a column mapped
+to the ascending row positions holding it.  An index-nested-loop join
+probes it for its stored inner relation, charging one index read plus
+the blocks of the matches per probe.
+"""
 
 import pytest
 
 from repro.catalog.datatypes import DataType
 from repro.catalog.schema import Attribute, RelationSchema
-from repro.storage.index import HashIndex, SortedIndex
+from repro.executor.physical import IndexNestedLoopJoin, execute_operator, scan_of
 from repro.storage.table import table_from_rows
 
 
@@ -18,38 +24,52 @@ def table():
     return table_from_rows(schema, rows, blocking_factor=10)
 
 
+def probe(table, *keys):
+    """Join one outer row per key against ``table`` on ``R.v``; the
+    outer table has its own I/O counter, so ``table.io`` sees only the
+    index build and the probes."""
+    outer = table_from_rows(
+        RelationSchema("O", [Attribute("O.k", DataType.INTEGER)]),
+        [{"O.k": key} for key in keys],
+    )
+    op = IndexNestedLoopJoin(scan_of(outer), scan_of(table), ("O.k", "v"))
+    return execute_operator(op, io=outer.io)
+
+
 class TestHashIndex:
     def test_lookup_matches(self, table):
-        index = HashIndex(table, "v")
-        matches = index.lookup(3)
-        assert len(matches) == 10
-        assert all(r["v"] == 3 for r in matches)
+        index = table.column_view().positions("v")
+        assert index[3] == list(range(3, 50, 5))
+        assert [row["id"] for row in probe(table, 3).rows()] == index[3]
 
     def test_lookup_missing_value(self, table):
-        index = HashIndex(table, "v")
-        assert index.lookup(99) == []
+        assert 99 not in table.column_view().positions("v")
+        table.column_view().charged_builds.add("v")  # the build is paid
+        table.io.reset()
+        assert probe(table, 99).rows() == []
+        assert table.io.reads == 1  # the probe itself, no match blocks
 
     def test_lookup_charges_io(self, table):
-        index = HashIndex(table, "v")
+        probe(table, 3)
         table.io.reset()
-        index.lookup(3)
-        # 1 probe + ceil(10 matches / bf 10) = 2 blocks
+        probe(table, 3)
+        # 1 probe + ceil(10 matches / bf 10) = 2 blocks; the build is warm
         assert table.io.reads == 2
 
     def test_len(self, table):
-        assert len(HashIndex(table, "id")) == 50
+        index = table.column_view().positions("id")
+        assert sum(len(positions) for positions in index.values()) == 50
+        assert len(table.column_view().positions("v")) == 5
 
     def test_probe_on_plain_table_does_not_copy_rows(self, table, monkeypatch):
-        index = HashIndex(table, "v")
-
         def copy_all_rows():
-            raise AssertionError("lookup copied the whole table")
+            raise AssertionError("the join copied the whole table")
 
         monkeypatch.setattr(table, "rows", copy_all_rows)
         table.io.reset()
-        matches = index.lookup(3)
-        assert [r["id"] for r in matches] == list(range(3, 50, 5))
-        assert table.io.reads == 2
+        result = probe(table, 3)
+        assert [r["id"] for r in result.rows()] == list(range(3, 50, 5))
+        assert table.io.reads == table.num_blocks + 2
 
     def test_probe_on_fault_proxy_keeps_its_read_fault(self, table):
         from repro.errors import StorageFault
@@ -63,51 +83,25 @@ class TestHashIndex:
         injector = FaultInjector(
             FaultPolicy(storage_failure_rate=1.0, scope=SCOPE_ALL, seed=0)
         )
-        index = HashIndex(table, "v")
-        index.table = FaultyTable(table, "R", injector)
+        table.column_view().charged_builds.add("v")  # no build draw
+        proxy = FaultyTable(table, "R", injector)
+        outer = table_from_rows(
+            RelationSchema("O", [Attribute("O.k", DataType.INTEGER)]),
+            [{"O.k": 3}],
+        )
+        op = IndexNestedLoopJoin(scan_of(outer), scan_of(proxy), ("O.k", "v"))
+        table.io.reset()
         with pytest.raises(StorageFault):
-            index.lookup(3)
+            execute_operator(op, io=outer.io)
+        assert table.io.reads == 2  # the probe is charged, then it faults
+        assert injector.storage_faults == 1
 
     def test_rebuild_after_insert(self, table):
-        index = HashIndex(table, "v")
+        view = table.column_view()
+        probe(table, 3)
+        assert view.charged_builds == {"v"}
         table.insert({"id": 100, "v": 3})
-        index.rebuild()
-        assert len(index.lookup(3, count_io=False)) == 11
-
-
-class TestSortedIndex:
-    def test_range_inclusive(self, table):
-        index = SortedIndex(table, "id")
-        rows = index.range(low=10, high=14)
-        assert sorted(r["id"] for r in rows) == [10, 11, 12, 13, 14]
-
-    def test_range_exclusive_bounds(self, table):
-        index = SortedIndex(table, "id")
-        rows = index.range(low=10, high=14, include_low=False, include_high=False)
-        assert sorted(r["id"] for r in rows) == [11, 12, 13]
-
-    def test_unbounded_low(self, table):
-        index = SortedIndex(table, "id")
-        assert len(index.range(high=4)) == 5
-
-    def test_unbounded_high(self, table):
-        index = SortedIndex(table, "id")
-        assert len(index.range(low=45)) == 5
-
-    def test_empty_range(self, table):
-        index = SortedIndex(table, "id")
-        assert index.range(low=30, high=20) == []
-
-    def test_charges_io(self, table):
-        index = SortedIndex(table, "id")
-        table.io.reset()
-        index.range(low=0, high=9)
-        assert table.io.reads == 2  # probe + 1 block of matches
-
-    def test_none_values_excluded(self):
-        schema = RelationSchema(
-            "R", [Attribute("id", DataType.INTEGER)]
-        )
-        t = table_from_rows(schema, [{"id": None}, {"id": 1}, {"id": 2}])
-        index = SortedIndex(t, "id")
-        assert len(index) == 2
+        assert view.charged_builds == set()
+        assert len(view.positions("v")) == 5
+        assert view.positions("v")[3][-1] == 50
+        assert len(probe(table, 3).rows()) == 11
