@@ -9,11 +9,16 @@ land in the log — exactly like a transactional outbox written in the
 same transaction as the base write (the hook fires only after the
 mutation succeeded; a fault-aborted write emits nothing).
 
-Retention is bounded: a full ring evicts its oldest record, increments
-the ``dropped`` counter, warns once per pressure episode with a
-:class:`~repro.errors.WorkloadWarning` (a dropped record means some view
-can no longer be maintained incrementally and must fall back to a batch
-recompute), and journals a ``cdc.dropped`` event.
+Retention is bounded two ways.  After each drain the streaming
+maintainer trims every log through the lowest watermark of the views
+that read its relation (:meth:`ChangeLog.trim`): records every reader
+has absorbed are needed by nobody, and a trim is not a drop.  A ring
+that still fills up evicts its oldest record, increments the
+``dropped`` counter, warns once per pressure episode with a
+:class:`~repro.errors.WorkloadWarning` (an evicted record is one some
+view has not absorbed, so that view can no longer be maintained
+incrementally and must fall back to a batch recompute), and journals a
+``cdc.dropped`` event.
 
 The global ``seq`` stamped on every record across all logs is the
 serialization order the :class:`~repro.cdc.streaming.StreamingMaintainer`
@@ -107,6 +112,8 @@ class ChangeLog:
         self.last_lsn = 0
         #: Records evicted under retention pressure (never reset).
         self.dropped = 0
+        #: Global seq of the newest evicted record (0 = none evicted).
+        self.evicted_seq = 0
         #: Global seq of the latest snapshot barrier: a full (re)load of
         #: the relation.  A view that has not absorbed past the barrier
         #: cannot be maintained from the log — it must recompute.
@@ -135,6 +142,7 @@ class ChangeLog:
         if len(self._records) >= self.capacity:
             evicted = self._records.popleft()
             self.dropped += 1
+            self.evicted_seq = evicted.seq
             if not self._warned:
                 self._warned = True
                 warnings.warn(
@@ -171,6 +179,14 @@ class ChangeLog:
         self.barrier_seq = seq
         self._warned = False
 
+    def trim(self, seq: int) -> None:
+        """Drop the retained records with a global seq up to ``seq``,
+        which every consumer has absorbed.  Not an eviction:
+        ``dropped`` and :meth:`has_gap` ignore it."""
+        records = self._records
+        while records and records[0].seq <= seq:
+            records.popleft()
+
     def records_after(self, seq: int) -> List[ChangeRecord]:
         """Retained records with a global seq greater than ``seq``, read
         back from the newest: seqs grow along the log."""
@@ -182,16 +198,10 @@ class ChangeLog:
         """Whether a consumer at watermark ``seq`` lost history.
 
         True when a snapshot barrier or retention eviction removed
-        records the consumer has not absorbed yet.
+        records the consumer has not absorbed yet: the barrier or the
+        newest evicted record lies past ``seq``.
         """
-        if self.barrier_seq > seq:
-            return True
-        if not self._records:
-            return False
-        oldest = self._records[0]
-        # Everything before the oldest retained record is gone; a
-        # consumer strictly behind it may have missed evicted records.
-        return self.dropped > 0 and seq < oldest.seq - 1
+        return self.barrier_seq > seq or self.evicted_seq > seq
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -315,7 +315,8 @@ class StreamingMaintainer:
         """Propagate every pending change record to every affected view.
 
         Processes maximal same-relation runs of the global change
-        sequence (chunked at ``coalesce_records``); each run is
+        sequence (chunked at ``coalesce_records`` and cut at the
+        watermarks of the views reading the relation); each run is
         coalesced, evaluated once against rewound overlays, and applied
         to its delta-eligible views atomically (shadow swap).  Views
         that cannot take the delta are recomputed through the
@@ -346,12 +347,26 @@ class StreamingMaintainer:
             )
         records.sort(key=lambda r: r.seq)
 
+        # A run ends at the watermark of every view reading its relation,
+        # so a view ahead of others is never handed records it absorbed.
+        marks = {
+            relation: {
+                self._synced[view.name]
+                for view in views
+                if view.name in self._synced and view.depends_on(relation)
+            }
+            for relation in self.changes.relations
+        }
         runs: List[Tuple[str, List[ChangeRecord]]] = []
         for record in records:
             if (
                 runs
                 and runs[-1][0] == record.relation
                 and len(runs[-1][1]) < self.policy.coalesce_records
+                and not any(
+                    runs[-1][1][-1].seq <= mark < record.seq
+                    for mark in marks[record.relation]
+                )
             ):
                 runs[-1][1].append(record)
             else:
@@ -413,6 +428,7 @@ class StreamingMaintainer:
             if not outcome.ok:
                 failed.append(name)
 
+        self._trim(views)
         self.coalesced_total += coalesced
         report = DrainReport(
             records=len(records),
@@ -438,6 +454,21 @@ class StreamingMaintainer:
         return report
 
     # ------------------------------------------------------------ internals
+    def _trim(self, views: Sequence[Any]) -> None:
+        """Trim each log through the lowest watermark of the ``views``
+        reading its relation (a view without one has absorbed nothing),
+        so a log keeps only records some view still needs."""
+        for relation in self.changes.relations:
+            through = min(
+                (
+                    self._synced.get(view.name, 0)
+                    for view in views
+                    if view.depends_on(relation)
+                ),
+                default=self.changes.head_seq,
+            )
+            self.changes.log(relation).trim(through)
+
     def _run_targets(
         self,
         views: Sequence[Any],

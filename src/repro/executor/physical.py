@@ -1175,21 +1175,25 @@ def _evaluate_aggregate(spec, positions, columns_by_name):
 
     Column resolution is deliberately lazy so an empty group never
     touches the aggregated attribute — matching the row engine, which
-    only indexes ``r[spec.attribute]`` on rows that exist.
+    only indexes ``r[spec.attribute]`` on rows that exist.  A group's
+    values are gathered in position order by one ``itemgetter`` call,
+    so sums add in the row engine's order.
     """
-    if spec.function is L.AggregateFunction.COUNT:
-        if spec.attribute is None:
-            return len(positions)
-        if not positions:
-            return 0
-        col = columns_by_name[spec.attribute]
-        return sum(1 for p in positions if col[p] is not None)
+    if spec.function is L.AggregateFunction.COUNT and spec.attribute is None:
+        return len(positions)
     if not positions:
-        return None
+        return 0 if spec.function is L.AggregateFunction.COUNT else None
     col = columns_by_name[spec.attribute]
-    values = [col[p] for p in positions if col[p] is not None]
-    if not values:
-        return None
+    if len(positions) == 1:
+        values = (col[positions[0]],)
+    else:
+        values = itemgetter(*positions)(col)
+    if spec.function is L.AggregateFunction.COUNT:
+        return len(values) - values.count(None)
+    if None in values:
+        values = [value for value in values if value is not None]
+        if not values:
+            return None
     if spec.function is L.AggregateFunction.SUM:
         return float(sum(values))
     if spec.function is L.AggregateFunction.AVG:
@@ -1559,16 +1563,17 @@ def execute_operator(
 
 
 def table_from_columns(schema, blocking_factor, columns, length, io) -> Table:
-    """Assemble a result table from columns without re-validation.
+    """A result table holding ``columns`` (``length`` values each).
 
-    Values flowing through physical operators were validated when their
-    source rows were loaded (``DataType.validate`` is idempotent), so
-    rebuilding row dicts directly is safe — and is where the vectorized
-    engine wins back the row engine's per-row normalization cost.
+    Its size is answered from ``length``; row dicts are built once, by
+    the first read or write that needs rows, without re-validation:
+    values flowing through physical operators were validated when their
+    source rows were loaded (``DataType.validate`` is idempotent).  A
+    caller that only counts rows never pays for them.
     """
     out = Table(schema, blocking_factor, io=io)
-    names = schema.attribute_names
-    out._rows = [dict(zip(names, values)) for values in zip(*columns)]
+    if columns:  # no columns zip to no rows, whatever ``length`` says
+        out._pending = (columns, length)
     return out
 
 

@@ -1,10 +1,13 @@
 """In-memory block-structured heap tables.
 
-Rows are dictionaries keyed by the schema's attribute names (which are
-qualified, e.g. ``"Product.Pid"``, once a table participates in query
-processing).  Physically, rows are grouped into blocks of
-``blocking_factor`` rows; every scan charges one read per block to the
-table's :class:`IOCounter`.
+Rows are read and written as dictionaries keyed by the schema's
+attribute names (which are qualified, e.g. ``"Product.Pid"``, once a
+table participates in query processing).  A table the vectorized
+executor returns holds the executor's columns instead and builds its
+row dictionaries once, on the first read or write that needs them;
+its size is known without them.  Physically, rows are grouped into
+blocks of ``blocking_factor`` rows; every scan charges one read per
+block to the table's :class:`IOCounter`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ class Table:
     #: did not happen.  Class-level default keeps proxies cheap.
     write_hook = None
 
+    #: ``(columns, length)`` a result table holds until its rows are
+    #: first needed (see :attr:`_rows`); ``None`` once they are built.
+    _pending = None
+
     def __init__(
         self,
         schema: RelationSchema,
@@ -45,17 +52,36 @@ class Table:
         self._rows: List[Dict[str, Any]] = []
         self._colcache = None  # lazily created ColumnView
 
+    @property
+    def _rows(self) -> List[Dict[str, Any]]:
+        """The stored row list, built from pending columns on first use.
+
+        Each access is a property call, so a per-row loop binds the list
+        once."""
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            names = self.schema.attribute_names
+            self._built = [dict(zip(names, values)) for values in zip(*pending[0])]
+        return self._built
+
+    @_rows.setter
+    def _rows(self, rows: List[Dict[str, Any]]) -> None:
+        self._pending = None
+        self._built = rows
+
     # ---------------------------------------------------------------- sizing
     @property
     def cardinality(self) -> int:
-        return len(self._rows)
+        pending = self._pending
+        return len(self._built) if pending is None else pending[1]
 
     @property
     def num_blocks(self) -> int:
-        return block_count(len(self._rows), self.blocking_factor)
+        return block_count(self.cardinality, self.blocking_factor)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.cardinality
 
     # --------------------------------------------------------------- loading
     def insert(self, row: Mapping[str, Any], count_io: bool = False) -> None:
@@ -71,16 +97,17 @@ class Table:
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]], count_io: bool = True) -> int:
         """Bulk insert; charges one write per *block* appended."""
-        before = len(self._rows)
+        stored = self._rows
+        before = len(stored)
         for row in rows:
-            self._rows.append(self._normalize(row))
-        added = len(self._rows) - before
+            stored.append(self._normalize(row))
+        added = len(stored) - before
         if added and self._colcache is not None:
             self._colcache.invalidate()
         if count_io and added:
             self.io.write_blocks(block_count(added, self.blocking_factor))
         if added and self.write_hook is not None:
-            self.write_hook("insert", self._rows[before:])
+            self.write_hook("insert", stored[before:])
         return added
 
     def delete_many(
@@ -134,16 +161,17 @@ class Table:
         those whose value in the column with the most distinct wanted
         values is among them."""
         names = self.schema.attribute_names
+        stored = self._rows
         if len(names) == 1:
             column, values = names[0], set(wanted)
         else:
             by_column = [set(values) for values in zip(*wanted)]
             if not by_column:  # no columns: every row is the empty row
-                return list(range(len(self._rows)))
+                return list(range(len(stored)))
             best = max(range(len(names)), key=lambda i: len(by_column[i]))
             column, values = names[best], by_column[best]
-        matches = map(values.__contains__, map(itemgetter(column), self._rows))
-        return list(compress(range(len(self._rows)), matches))
+        matches = map(values.__contains__, map(itemgetter(column), stored))
+        return list(compress(range(len(stored)), matches))
 
     def _normalize(self, row: Mapping[str, Any]) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
@@ -167,7 +195,11 @@ class Table:
         yield from iter(self._rows)
 
     def rows(self) -> List[Dict[str, Any]]:
-        """All rows without I/O accounting (inspection/testing only)."""
+        """A new list of the stored rows, without I/O accounting.
+
+        The list is the caller's own; the row dicts are shared with the
+        table and must not be mutated.  A fault-injecting proxy still
+        fails the read."""
         return list(self._rows)
 
     def copy(self) -> "Table":
@@ -216,13 +248,14 @@ class Table:
             old.name: new.name
             for old, new in zip(self.schema, qualified_schema)
         }
-        for row in self._rows:
-            out._rows.append({mapping[k]: v for k, v in row.items()})
+        out._rows = [
+            {mapping[k]: v for k, v in row.items()} for row in self._rows
+        ]
         return out
 
     def __repr__(self) -> str:
         return (
-            f"Table({self.schema.name}, rows={len(self._rows)}, "
+            f"Table({self.schema.name}, rows={self.cardinality}, "
             f"blocks={self.num_blocks})"
         )
 

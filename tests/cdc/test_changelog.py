@@ -105,6 +105,41 @@ class TestChangeLogRetention:
         assert not log.has_gap(2)
         assert not log.has_gap(4)
 
+    def test_gap_is_measured_from_the_newest_evicted_record(self):
+        import warnings
+
+        # Global seqs interleave with other logs: this log holds 1, 5, 9.
+        log = ChangeLog("R", capacity=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for lsn, seq in ((1, 1), (2, 5), (3, 9)):
+                log.append(record(lsn=lsn, seq=seq))
+        assert log.evicted_seq == 1
+        assert log.has_gap(0)
+        # A consumer at seq 3 absorbed the evicted record: no gap, though
+        # it is behind the oldest retained record's seq - 1.
+        assert not log.has_gap(3)
+
+    def test_trim_drops_absorbed_records_without_counting_them(self):
+        import warnings
+
+        log = ChangeLog("R", capacity=3)
+        for i in range(1, 4):
+            log.append(record(lsn=i, seq=2 * i))
+        log.trim(4)
+        assert [r.seq for r in log.records_after(0)] == [6]
+        log.trim(4)
+        assert len(log) == 1
+        assert log.dropped == 0
+        assert not log.has_gap(0)
+        # Trimmed room is reused without an eviction or a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log.append(record(lsn=4, seq=8))
+            log.append(record(lsn=5, seq=10))
+        assert log.dropped == 0
+        assert log.last_lsn == 5
+
     def test_snapshot_barrier_clears_and_gaps(self):
         log = ChangeLog("R", capacity=10)
         log.append(record(lsn=1, seq=1))

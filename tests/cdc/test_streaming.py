@@ -2,20 +2,22 @@
 bounded staleness, schema validation and fault degradation."""
 
 import datetime
+import warnings
 
 import pytest
 
 from repro.cdc import StreamingPolicy
 from repro.cdc.changelog import ChangeRecord, DELETE, INSERT, UPDATE
 from repro.cdc.streaming import _coalesce
-from repro.errors import DeltaSchemaError, WarehouseError
+from repro.errors import DeltaSchemaError, WarehouseError, WorkloadWarning
 from repro.mvpp.config import DesignConfig
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.faults import FaultPolicy
 from repro.warehouse import DataWarehouse
 from repro.warehouse.simulation import row_multiset
 from repro.workload import paper_workload
-from repro.workload.datagen import paper_rows
+from repro.workload.datagen import paper_rows, star_rows
+from repro.workload.star_schema import StarConfig, star_workload
 
 NEW_ORDER = {
     "Pid": 1,
@@ -273,6 +275,114 @@ class TestCoalesce:
             stored = warehouse.database.table(view.name).rows()
             expected = warehouse.engine.execute(view.plan).rows()
             assert row_multiset(stored) == row_multiset(expected), view.name
+
+
+class TestLogRetention:
+    """Drains trim what every reader absorbed; overflow still evicts."""
+
+    def test_long_replay_keeps_only_unabsorbed_records(self, warehouse):
+        streaming = warehouse.enable_streaming(
+            StreamingPolicy(
+                max_lag_records=4, max_lag_ticks=float("inf"), retention=8
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WorkloadWarning)
+            for quantity in range(100, 160):
+                row = dict(NEW_ORDER, quantity=quantity)
+                warehouse.apply_update("Order", [row], policy="stream")
+                warehouse.apply_delete("Order", [row], policy="stream")
+                for relation in streaming.changes.relations:
+                    log = streaming.changes.log(relation)
+                    readers = [
+                        streaming.watermark(view.name) or 0
+                        for view in warehouse.views
+                        if view.depends_on(relation)
+                    ]
+                    floor = min(readers, default=streaming.changes.head_seq)
+                    assert len(log.records_after(floor)) == len(log)
+            warehouse.drain_changes()
+        assert streaming.drains > 1
+        assert streaming.changes.head_seq == 120
+        assert streaming.changes.dropped_total() == 0
+        for relation in streaming.changes.relations:
+            assert len(streaming.changes.log(relation)) == 0, relation
+        _assert_consistent(warehouse)
+
+    def test_a_view_held_behind_keeps_its_records(self, warehouse):
+        # Every read of Customer fails, so the Customer-Order view can
+        # neither take its deltas nor recompute: it stays behind.
+        warehouse.attach_faults(
+            FaultPolicy(relation_rates=(("Customer", 1.0),), seed=3)
+        )
+        warehouse.scheduler(ResilienceConfig(seed=3))
+        streaming = warehouse.enable_streaming(
+            StreamingPolicy(
+                max_lag_records=10_000, max_lag_ticks=float("inf"), retention=8
+            )
+        )
+        behind = [v.name for v in warehouse.views if v.depends_on("Customer")]
+        assert behind
+        for quantity in (110, 120, 130):
+            warehouse.apply_update(
+                "Order", [dict(NEW_ORDER, quantity=quantity)], policy="stream"
+            )
+        report = warehouse.drain_changes()
+        assert set(behind) <= set(report.views_failed)
+        log = streaming.changes.log("Order")
+        assert [r.seq for r in log.records_after(0)] == [1, 2, 3]
+        # Overflow past the held records still evicts, warns and gaps.
+        with pytest.warns(WorkloadWarning, match="retention pressure"):
+            for quantity in range(140, 210, 10):
+                warehouse.apply_update(
+                    "Order", [dict(NEW_ORDER, quantity=quantity)],
+                    policy="stream",
+                )
+        assert log.dropped == 2
+        assert log.has_gap(streaming.watermark(behind[0]))
+        warehouse.detach_faults()
+        report = warehouse.drain_changes()
+        assert set(behind) <= set(report.views_recomputed)
+        assert report.converged
+        assert len(log) == 0
+        _assert_consistent(warehouse)
+
+
+class TestViewsAtDifferentWatermarks:
+    def test_a_view_ahead_is_not_handed_absorbed_records(self):
+        """Fact readers split by a Dim1 read fault: the views that do
+        not read Dim1 absorb each drain, the others stay behind.  A
+        later run of Fact records that straddles the ahead views'
+        watermark must not re-apply what they already absorbed."""
+        star = StarConfig(num_queries=16, include_aggregates=True, seed=0)
+        warehouse = DataWarehouse.from_workload(star_workload(star))
+        warehouse.design()
+        rows = star_rows(star, 0.005, 0)
+        for relation, batch in sorted(rows.items()):
+            warehouse.load(relation, batch)
+        warehouse.materialize()
+        readers = [v for v in warehouse.views if v.depends_on("Fact")]
+        behind = {v.name for v in readers if v.depends_on("Dim1")}
+        ahead = {v.name for v in readers} - behind
+        assert behind and ahead
+        warehouse.attach_faults(
+            FaultPolicy(relation_rates=(("Dim1", 1.0),), seed=3)
+        )
+        warehouse.scheduler(ResilienceConfig(seed=3))
+        streaming = warehouse.enable_streaming(LAZY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WorkloadWarning)
+            for start in (0, 3):
+                warehouse.apply_update(
+                    "Fact", rows["Fact"][start:start + 3], policy="stream"
+                )
+                report = warehouse.drain_changes()
+                assert set(report.views_failed) == behind
+            for name in ahead:
+                assert streaming.watermark(name) == streaming.changes.head_seq
+            warehouse.detach_faults()
+            assert warehouse.drain_changes().converged
+        _assert_consistent(warehouse)
 
 
 class TestFaultDegradation:
