@@ -169,6 +169,7 @@ class PropagationGraph:
         self._shared: Dict[str, Tuple[SharedDelta, ...]] = {}
         self._shared_node: Dict[Tuple[str, str], Operator] = {}
         self._cut: Dict[Tuple[str, str], str] = {}
+        self._cut_plan: Dict[Tuple[str, str], Operator] = {}
         self._compile()
 
     # ---------------------------------------------------------------- compile
@@ -240,8 +241,12 @@ class PropagationGraph:
             counter += 1
             out.append(shared)
             self._shared_node[(relation, sig)] = rep_node[sig]
+            scan = Relation(shared.name, rep_node[sig].schema)
             for view_name in names:
                 self._cut[(view_name, relation)] = sig
+                self._cut_plan[(view_name, relation)] = substitute_subtree(
+                    self.views[view_name].plan, sig, scan
+                )
         return tuple(out), counter
 
     # ----------------------------------------------------------------- lookup
@@ -260,6 +265,14 @@ class PropagationGraph:
 
     def cut_signature(self, view: str, relation: str) -> Optional[str]:
         return self._cut.get((view, relation))
+
+    def cut_plan(self, view: str, relation: str) -> Operator:
+        """The view's plan reading its shared delta table at the cut.
+
+        Built once here, so every drain evaluates the same plan object
+        and reuses the engine's cached lowering of it.
+        """
+        return self._cut_plan[(view, relation)]
 
     @property
     def relations(self) -> Tuple[str, ...]:
@@ -384,9 +397,7 @@ class DeltaPropagator:
                 cut = self.graph.cut_signature(name, relation)
                 if cut is not None and cut in shared_tables:
                     shared_name, table = shared_tables[cut]
-                    plan = substitute_subtree(
-                        view.plan, cut, Relation(shared_name, table.schema)
-                    )
+                    plan = self.graph.cut_plan(name, relation)
                     overrides = dict(rewinds)
                     overrides[shared_name] = table
                     rows = self._evaluate(plan, overrides)

@@ -71,13 +71,36 @@ def _nested_loop_join(
     out = Table(schema, blocking_factor, io=outer.io)
     outer.io.read_blocks(outer.num_blocks)
     outer.io.read_blocks(outer.num_blocks * inner.num_blocks)
+    keys = _joined_keys(schema, outer, inner)
     inner_rows = inner.rows()
     for outer_row in outer.rows():
         for inner_row in inner_rows:
             merged = {**outer_row, **inner_row}
-            if condition is None or condition.evaluate(merged) is True:
+            if condition is None or _passes(condition, keys, merged):
                 out.insert(merged)
     return out
+
+
+def _joined_keys(
+    schema: RelationSchema, outer: Table, inner: Table
+) -> List[Tuple[str, str]]:
+    """(joined attribute, merged-row key) of each attribute of ``schema``.
+
+    A merged ``{**outer, **inner}`` row stored in a table of the joined
+    ``schema`` takes each attribute from its exact name, else from its
+    short name (``Table._normalize``).
+    """
+    merged = set(outer.schema.attribute_names) | set(inner.schema.attribute_names)
+    return [
+        (a.name, a.name if a.name in merged else a.short_name) for a in schema
+    ]
+
+
+def _passes(
+    condition: Expression, keys: List[Tuple[str, str]], merged: Dict[str, Any]
+) -> bool:
+    """Whether ``condition`` holds on the joined row ``merged`` becomes."""
+    return condition.evaluate({name: merged[key] for name, key in keys}) is True
 
 
 def _hash_join(
@@ -105,11 +128,12 @@ def _hash_join(
         key = tuple(row[k] for k in inner_keys)
         if None not in key:
             buckets.setdefault(key, []).append(row)
+    keys = _joined_keys(schema, outer, inner)
     for row in outer.scan(count_io=True):
         key = tuple(row[k] for k in outer_keys)
         for match in buckets.get(key, ()):
             merged = {**row, **match}
-            if residual is None or residual.evaluate(merged) is True:
+            if residual is None or _passes(residual, keys, merged):
                 out.insert(merged)
     return out
 
@@ -208,6 +232,7 @@ def _sort_merge_join(
 
     schema = outer.schema.join(inner.schema)
     out = Table(schema, _joined_blocking_factor(outer, inner), io=outer.io)
+    keys = _joined_keys(schema, outer, inner)
     i = j = 0
     while i < len(left_rows) and j < len(right_rows):
         left_key = tuple(left_rows[i][k] for k in outer_keys)
@@ -231,7 +256,7 @@ def _sort_merge_join(
             ):
                 for index in range(run_start, run_end):
                     merged = {**left_rows[i], **right_rows[index]}
-                    if residual is None or residual.evaluate(merged) is True:
+                    if residual is None or _passes(residual, keys, merged):
                         out.insert(merged)
                 i += 1
     return out

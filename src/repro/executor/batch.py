@@ -28,10 +28,9 @@ closures over column vectors:
   the same way.  The cascade runs it on the surviving rows only.
 * :func:`compile_pair` — a join condition becomes a scalar
   ``fn(left_row, right_row) -> value`` over *tuples* (one value per
-  attribute), with column references resolved against the merged-dict
-  semantics of the row engine (``{**outer_row, **inner_row}``: inner
-  keys shadow outer keys, and short-name fallback searches the merged
-  key set).
+  attribute), with column references resolved against the joined row
+  the join stores (:func:`resolve_joined_column`: exact joined name,
+  then a unique short name).
 
 **Pass rule.**  A row passes a selection, and a pair passes a join
 condition, iff the predicate evaluates to ``True`` (SQL WHERE/ON
@@ -69,7 +68,7 @@ __all__ = [
     "iter_batches",
     "leading_equality",
     "resolve_column",
-    "resolve_merged_column",
+    "resolve_joined_column",
 ]
 
 #: Rows per batch unless the engine overrides it.
@@ -161,31 +160,18 @@ def resolve_column(name: str, names: Sequence[str]) -> Optional[int]:
     return None
 
 
-def resolve_merged_column(
-    name: str, left_names: Sequence[str], right_names: Sequence[str]
+def resolve_joined_column(
+    name: str, names: Sequence[str], mapping: Sequence[Tuple[int, int]]
 ) -> Optional[Tuple[int, int]]:
-    """Resolve ``name`` against ``{**left_row, **right_row}`` semantics.
+    """Resolve ``name`` against a joined row, as :func:`resolve_column`.
 
-    Returns ``(side, index)`` with side 0 = left, 1 = right.  A key
-    present on both sides resolves to the right (the inner row's value
-    shadows the outer's in the merged dict); the short-name fallback
-    requires uniqueness across the merged key *set*, exactly like
-    :meth:`ColumnRef.evaluate` over the merged row.
+    ``names`` are the joined schema's attributes and ``mapping[k]`` the
+    ``(side, index)`` input column attribute ``k`` is taken from (side
+    0 = left, 1 = right).  ``None`` when the reference would not
+    resolve.
     """
-    if name in right_names:
-        return (1, list(right_names).index(name))
-    if name in left_names:
-        return (0, list(left_names).index(name))
-    left_set = set(left_names)
-    merged = list(left_names) + [k for k in right_names if k not in left_set]
-    short = name.rsplit(".", 1)[-1]
-    matches = [k for k in merged if k.rsplit(".", 1)[-1] == short]
-    if len(matches) != 1:
-        return None
-    key = matches[0]
-    if key in right_names:
-        return (1, list(right_names).index(key))
-    return (0, list(left_names).index(key))
+    index = resolve_column(name, names)
+    return None if index is None else mapping[index]
 
 
 # ------------------------------------------------------- selection kernels
@@ -439,15 +425,18 @@ def compile_mask(expr: Optional[Expression], names: Sequence[str]) -> Optional[M
 # ------------------------------------------------------------ pair compiler
 def compile_pair(
     expr: Optional[Expression],
-    left_names: Sequence[str],
-    right_names: Sequence[str],
+    names: Sequence[str],
+    mapping: Sequence[Tuple[int, int]],
 ) -> Optional[PairFn]:
     """Compile a join condition to a scalar kernel over row tuples.
 
-    The returned ``fn(left_row, right_row)`` equals
-    ``expr.evaluate({**left_row_dict, **right_row_dict})`` for rows
-    given as value tuples in schema order.  ``None`` means fall back to
-    merged-dict evaluation.
+    ``names`` are the joined schema's attributes and ``mapping[k]`` the
+    ``(side, index)`` input column attribute ``k`` is taken from.  The
+    returned ``fn(left_row, right_row)``, over rows given as value
+    tuples in their input schema's order, equals
+    ``expr.evaluate(joined_row_dict)``: column references resolve
+    against the joined row, once, here.  ``None`` means fall back to
+    row-dict evaluation.
     """
     if expr is None:
         return None
@@ -457,7 +446,7 @@ def compile_pair(
         return lambda lrow, rrow: value
 
     if isinstance(expr, ColumnRef):
-        resolved = resolve_merged_column(expr.name, left_names, right_names)
+        resolved = resolve_joined_column(expr.name, names, mapping)
         if resolved is None:
             return None
         side, index = resolved
@@ -467,8 +456,8 @@ def compile_pair(
 
     if isinstance(expr, Comparison):
         op = _COMPARISON_OPS[expr.op]
-        left_fn = compile_pair(expr.left, left_names, right_names)
-        right_fn = compile_pair(expr.right, left_names, right_names)
+        left_fn = compile_pair(expr.left, names, mapping)
+        right_fn = compile_pair(expr.right, names, mapping)
         if left_fn is None or right_fn is None:
             return None
 
@@ -483,8 +472,7 @@ def compile_pair(
 
     if isinstance(expr, (And, Or)):
         child_fns = [
-            compile_pair(child, left_names, right_names)
-            for child in expr.children
+            compile_pair(child, names, mapping) for child in expr.children
         ]
         if any(fn is None for fn in child_fns):
             return None
@@ -503,7 +491,7 @@ def compile_pair(
         return boolean
 
     if isinstance(expr, Not):
-        child_fn = compile_pair(expr.operand, left_names, right_names)
+        child_fn = compile_pair(expr.operand, names, mapping)
         if child_fn is None:
             return None
 

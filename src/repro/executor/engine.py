@@ -4,10 +4,13 @@ The :class:`ExecutionEngine` runs logical operator trees through one of
 two execution engines sharing a single semantics:
 
 * ``vectorized`` (the default) — :class:`~repro.executor.physical.PhysicalPlanner`
-  lowers the logical plan to a physical operator tree once per execute,
-  then drives it columnar batch-at-a-time over
-  :class:`~repro.storage.columnar.ColumnView` chunks.  Hash-join build
-  sides are reused across refreshes through the engine's
+  lowers the logical plan to a physical operator tree, then drives it
+  columnar batch-at-a-time over
+  :class:`~repro.storage.columnar.ColumnView` chunks.  The tree is kept
+  in the engine's :class:`~repro.executor.physical.PlanCache` and run
+  again, with its scans bound to the executing database's tables, on
+  every later execute of the same plan object.  Hash-join build sides
+  are reused across refreshes through the engine's
   :class:`~repro.executor.physical.BuildSideCache`.
 * ``reference`` — the original row-at-a-time operators (the private
   ``repro.executor._rowwise`` module), kept as the behavioural oracle
@@ -47,8 +50,12 @@ from repro.executor.physical import (
     ExecutionContext,
     PhysicalOperator,
     PhysicalPlanner,
+    PlanCache,
     materialize,
     table_from_columns,
+    unbind,
+    verify_logical,
+    verify_physical,
 )
 from repro.executor.batch import DEFAULT_BATCH_SIZE
 
@@ -145,6 +152,7 @@ class ExecutionEngine:
         #: verifier and error-severity findings raise ``LintError``.
         self.lint = lint
         self.build_cache = BuildSideCache()
+        self.plan_cache = PlanCache()
 
     def over(self, database: Database) -> "ExecutionEngine":
         """An engine with this one's settings reading ``database``.
@@ -153,7 +161,11 @@ class ExecutionEngine:
         engine's database.  The returned engine shares this one's
         :class:`BuildSideCache`: the overlay reports no version for the
         tables it substitutes, so only builds over relations it passes
-        through are stored or reused.
+        through are stored or reused.  It shares the :class:`PlanCache`
+        too: a cached tree binds its scans to whichever database runs
+        it, and a delta table has its base relation's schema and
+        blocking factor, so a view plan lowers once for its
+        recomputes and its delta evaluations alike.
         """
         engine = ExecutionEngine(
             database,
@@ -162,6 +174,7 @@ class ExecutionEngine:
             batch_size=self.batch_size,
         )
         engine.build_cache = self.build_cache
+        engine.plan_cache = self.plan_cache
         return engine
 
     # ------------------------------------------------------------ public API
@@ -240,8 +253,10 @@ class ExecutionEngine:
     ) -> PhysicalOperator:
         """Lower ``plan`` to this engine's physical operator tree.
 
-        ``lint`` overrides the engine-level flag for this one lowering
-        (``explain`` lowers with linting off and reports findings
+        Always a fresh lowering, bound to the database's tables; the
+        execute path goes through the engine's :class:`PlanCache`
+        instead.  ``lint`` overrides the engine-level flag for this one
+        lowering (``explain`` lowers with linting off and reports findings
         instead of raising).
         """
         planner = PhysicalPlanner(
@@ -268,19 +283,34 @@ class ExecutionEngine:
             self._record_root(plan, table.cardinality, 0.0, recording)
             return table
         before = self.database.io.snapshot() if recording else None
-        root = self.physical_plan(plan)
-        ctx = ExecutionContext(
-            io=self.database.io,
-            batch_size=self.batch_size,
-            cache=(
-                self.build_cache
-                if self.database.fault_injector is None
-                else None
-            ),
-            database=self.database,
-            record=recording,
-        )
-        columns, length = materialize(root, ctx)
+        root, scans, outcome = self.plan_cache.lookup(plan, self.database)
+        if root is None:
+            root = self.physical_plan(plan)
+            scans = self.plan_cache.store(plan, root)
+        if recording:
+            obs.metrics().counter(
+                "executor.plan_cache", outcome=outcome
+            ).inc()
+        try:
+            if outcome == "hit" and self.lint:
+                # A cached tree is verified on every execute, as its
+                # lowering would have been.
+                verify_logical(plan)
+                verify_physical(plan, root)
+            ctx = ExecutionContext(
+                io=self.database.io,
+                batch_size=self.batch_size,
+                cache=(
+                    self.build_cache
+                    if self.database.fault_injector is None
+                    else None
+                ),
+                database=self.database,
+                record=recording,
+            )
+            columns, length = materialize(root, ctx)
+        finally:
+            unbind(scans)
         result = table_from_columns(
             root.schema, root.blocking_factor, columns, length, self.database.io
         )

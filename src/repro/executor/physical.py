@@ -3,10 +3,15 @@
 Logical plans (:mod:`repro.algebra.operators`) describe *what* relation
 to compute; the classes here describe *how*.  A
 :class:`PhysicalOperator` tree is produced by :class:`PhysicalPlanner`
-(one lowering per execute — schemas, blocking factors, join splits and
-compiled predicate kernels are all resolved once per plan, not once per
-operator invocation), then driven by
-:meth:`repro.executor.engine.ExecutionEngine.execute`.
+(schemas, blocking factors, join splits and compiled predicate kernels
+are all resolved once per lowering, not once per operator invocation),
+then driven by :meth:`repro.executor.engine.ExecutionEngine.execute`.
+The engine keeps each plan's lowered tree in its :class:`PlanCache`
+and runs it again on the next execute of the same plan object: a
+:class:`Scan` is bound to its table from the executing database for
+one run and unbound when the run ends, and a table whose schema object
+or blocking factor changed since the lowering sends the plan back to
+the planner.
 
 Operators are columnar internally: each ``_compute`` materializes its
 full output as column lists, mirroring the row engine's
@@ -42,6 +47,7 @@ from repro.executor.batch import (
     compile_selection,
     iter_batches,
     leading_equality,
+    resolve_joined_column,
 )
 from repro.storage.block import block_count
 from repro.storage.columnar import hash_groups
@@ -61,6 +67,7 @@ __all__ = [
     "SortOperator",
     "LimitOperator",
     "BuildSideCache",
+    "PlanCache",
     "PhysicalPlanner",
     "charge_materialize",
     "execute_operator",
@@ -220,9 +227,12 @@ def _charge_io(prep: _Prepared, ctx: ExecutionContext):
 class Scan(PhysicalOperator):
     """Leaf: a stored table (base relation or materialized view).
 
-    The table handle is bound at plan time (a fault-injecting proxy
-    when the database has an injector attached); the consuming operator
-    decides *how* it is touched — ``touch_scan`` reproduces a counted
+    ``schema`` and ``blocking_factor`` are the table's at lowering.
+    The table handle (a fault-injecting proxy when the database has an
+    injector attached) is bound by the lowering or by :meth:`bind`, and
+    an engine run drops it again (:func:`unbind`), so a cached tree
+    holds no table between runs.  The consuming operator decides *how*
+    it is touched — ``touch_scan`` reproduces a counted
     ``scan()`` (one fault draw plus a full read charge), ``touch_rows``
     reproduces ``rows()`` (one fault draw, no charge).  Plain tables
     skip the proxy ceremony and charge directly.
@@ -252,6 +262,19 @@ class Scan(PhysicalOperator):
         )
         self.relation_name = relation_name
         self.table = table
+
+    def bind(self, table: Table) -> bool:
+        """Bind ``table`` for one run; ``False`` (and nothing bound) when
+        its schema object or blocking factor is not the one this scan
+        was lowered for, so operators above would resolve stale
+        positions."""
+        if (
+            table.schema is not self.schema
+            or table.blocking_factor != self.blocking_factor
+        ):
+            return False
+        self.table = table
+        return True
 
     def require_table(self) -> Table:
         if self.table is None:
@@ -567,7 +590,14 @@ def _probe_filtered(buckets, keys, ocols, icols, residual_fn, outer_pos, inner_p
 
 
 class _JoinBase(PhysicalOperator):
-    """Shared state of the binary join operators."""
+    """Shared state of the binary join operators.
+
+    Every join method evaluates its condition (or the part of it the
+    equi-keys leave over) on the *joined* row, the row the output table
+    stores: a column reference resolves against the joined schema, so
+    an unqualified input column the join qualifies (``n`` becoming
+    ``A.n``) is found under its joined name.
+    """
 
     __slots__ = ("_lnames", "_rnames", "_mapping")
 
@@ -589,22 +619,27 @@ class _JoinBase(PhysicalOperator):
     def right(self) -> PhysicalOperator:
         return self.children[1]
 
+    def _resolve(self, name: str) -> Optional[Tuple[int, int]]:
+        """``(side, index)`` of column ``name`` in the joined row."""
+        return resolve_joined_column(
+            name, self.schema.attribute_names, self._mapping
+        )
+
+    def _compile(self, expr: Optional[Expression]):
+        """``expr``'s pair kernel over the joined row (resolved now)."""
+        return compile_pair(expr, self.schema.attribute_names, self._mapping)
+
     def _pairs_passing_rowwise(self, expr, ocols, icols, candidates):
-        """The (i, j) candidates whose merged row dict passes ``expr``."""
-        lnames, rnames = self._lnames, self._rnames
-        inner_dicts: Dict[int, Dict[str, Any]] = {}
-        outer_dicts: Dict[int, Dict[str, Any]] = {}
+        """The (i, j) candidates whose joined row dict passes ``expr``."""
+        names = self.schema.attribute_names
+        mapping = self._mapping
         out = []
         for i, j in candidates:
-            odict = outer_dicts.get(i)
-            if odict is None:
-                odict = dict(zip(lnames, (col[i] for col in ocols)))
-                outer_dicts[i] = odict
-            idict = inner_dicts.get(j)
-            if idict is None:
-                idict = dict(zip(rnames, (col[j] for col in icols)))
-                inner_dicts[j] = idict
-            if expr.evaluate({**odict, **idict}) is True:
+            row = dict(zip(names, [
+                ocols[index][i] if side == 0 else icols[index][j]
+                for side, index in mapping
+            ]))
+            if expr.evaluate(row) is True:
                 out.append((i, j))
         return out
 
@@ -641,33 +676,25 @@ class NestedLoopJoin(_JoinBase):
         self._pair_fn = None
         if condition is None:
             return
-        self._pair_fn = compile_pair(condition, self._lnames, self._rnames)
+        self._pair_fn = self._compile(condition)
         pairs, residual = self._split_equi(condition)
         # Accelerate only a fully compiled condition, so every pair the
         # buckets do not prune runs the same kernels in the same order.
         if pairs and self._pair_fn is not None:
             self._accel_pairs = pairs
-            self._residual_fn = compile_pair(
-                residual, self._lnames, self._rnames
-            )
+            self._residual_fn = self._compile(residual)
 
     def _split_equi(self, condition):
         """The leading equi-conjuncts as (outer, inner) column indices,
         and the conjunction of the rest (still in ``And.children``
         order)."""
-        from repro.executor.batch import resolve_merged_column
-
         pairs: List[Tuple[int, int]] = []
         parts = P.conjuncts(condition)
         for conjunct in parts:
             if not P.is_join_predicate(conjunct):
                 break
-            left_ref = resolve_merged_column(
-                conjunct.left.name, self._lnames, self._rnames
-            )
-            right_ref = resolve_merged_column(
-                conjunct.right.name, self._lnames, self._rnames
-            )
+            left_ref = self._resolve(conjunct.left.name)
+            right_ref = self._resolve(conjunct.right.name)
             if left_ref is None or right_ref is None or left_ref[0] == right_ref[0]:
                 break
             if left_ref[0] == 0:
@@ -807,11 +834,7 @@ class HashJoin(_JoinBase):
             inner_names.index(right.schema.attribute(b).name)
             for _, b in equi_pairs
         ]
-        self._residual_fn = (
-            compile_pair(residual, self._lnames, self._rnames)
-            if residual is not None
-            else None
-        )
+        self._residual_fn = self._compile(residual)
         self.cache_token = cache_token
         self._base_relations = tuple(base_relations)
 
@@ -932,11 +955,7 @@ class MergeJoin(_JoinBase):
             inner_names.index(right.schema.attribute(b).name)
             for _, b in equi_pairs
         ]
-        self._residual_fn = (
-            compile_pair(residual, self._lnames, self._rnames)
-            if residual is not None
-            else None
-        )
+        self._residual_fn = self._compile(residual)
 
     @staticmethod
     def _charge_sort(prep: _Prepared, ctx: ExecutionContext) -> None:
@@ -1381,6 +1400,77 @@ class BuildSideCache:
         return len(self._entries)
 
 
+# ------------------------------------------------------------- plan cache
+#: Lowered trees a :class:`PlanCache` keeps; the oldest goes first.
+PLAN_CACHE_ENTRIES = 64
+
+
+class PlanCache:
+    """Lowered physical trees, one per logical plan *object*.
+
+    A plan's lowering depends only on the plan and on the schema object
+    and blocking factor of each table it scans, so an engine runs the
+    cached tree again instead of lowering the plan on every execute.
+    Entries are keyed by ``id(plan)`` and hold the plan, so the id
+    cannot be reused while its entry lives, and two plans that are
+    equal but not identical never share a tree: ``Operator`` equality
+    compares signatures, and a join's signature does not tell its sides
+    apart.  The cache holds no table — :meth:`lookup` binds a tree's
+    scans for one run and :func:`unbind` drops them — and keeps at most
+    :data:`PLAN_CACHE_ENTRIES` trees, evicting the oldest, because cdc
+    drains and shard unions run plans that live for one evaluation.
+    """
+
+    def __init__(self):
+        #: id(plan) -> (plan, its lowered tree, the tree's scans).
+        self._entries: Dict[
+            int, Tuple[L.Operator, PhysicalOperator, Tuple[Scan, ...]]
+        ] = {}
+
+    def lookup(self, plan: L.Operator, database):
+        """``(tree, scans, outcome)`` for running ``plan`` on ``database``.
+
+        On a hit the cached tree comes back with its scans bound to
+        ``database``'s tables, fetched in lowering order, and outcome
+        ``"hit"``.  Otherwise the tree is ``None`` and the outcome says
+        why: ``"lowered"`` (no tree cached) or ``"relowered"`` (some
+        table's schema object or blocking factor changed since the
+        lowering; nothing is left bound).  A missing table raises, as
+        the lowering would.
+        """
+        entry = self._entries.get(id(plan))
+        if entry is None:
+            return None, (), "lowered"
+        scans = entry[2]
+        try:
+            for scan in scans:
+                if not scan.bind(database.table(scan.relation_name)):
+                    unbind(scans)
+                    return None, (), "relowered"
+        except BaseException:
+            unbind(scans)
+            raise
+        return entry[1], scans, "hit"
+
+    def store(self, plan: L.Operator, root: PhysicalOperator) -> Tuple[Scan, ...]:
+        """Keep ``root`` as the tree of ``plan``; returns its scans."""
+        self._entries.pop(id(plan), None)
+        while len(self._entries) >= PLAN_CACHE_ENTRIES:
+            self._entries.pop(next(iter(self._entries)))
+        scans = tuple(op for op in root.walk() if isinstance(op, Scan))
+        self._entries[id(plan)] = (plan, root, scans)
+        return scans
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def unbind(scans) -> None:
+    """Drop the tables ``scans`` were bound to for a run."""
+    for scan in scans:
+        scan.table = None
+
+
 # ------------------------------------------------------------------ planner
 #: Join strategies (mirrored by ``repro.executor.engine``).
 NESTED_LOOP = "nested-loop"
@@ -1414,12 +1504,13 @@ def split_join_condition(plan: "L.Join"):
 
 
 class PhysicalPlanner:
-    """Lowers logical plans to physical operator trees — once per execute.
+    """Lowers logical plans to physical operator trees.
 
-    All plan-constant work happens here: runtime table binding and
-    schema checks, attribute resolution, joined blocking factors (the
-    old per-call ``_joined_blocking_factor`` hoisted to plan time),
-    join-condition splits and predicate kernel compilation.  With
+    All plan-constant work happens here: table binding and schema
+    checks, attribute resolution, joined blocking factors, join-condition
+    splits and predicate kernel compilation.  The engine lowers a plan
+    when its :class:`PlanCache` has no tree for it (or the tree's tables
+    changed shape) and runs the cached tree otherwise.  With
     ``require_tables=False`` (used by ``explain``) relations missing
     from the database lower to unbound scans carrying the logical
     schema.
@@ -1439,26 +1530,10 @@ class PhysicalPlanner:
 
     def lower(self, plan: L.Operator) -> PhysicalOperator:
         if self.lint:
-            # Logical verification (rules P001-P007) runs before lowering:
-            # a corrupt plan must fail with the P-rule diagnostic, not with
-            # whatever construction error the physical operators hit first.
-            from repro.lint.plans import verify_plan
-
-            logical = verify_plan(plan, name=plan.schema.name)
-            if logical.errors:
-                logical.publish()
-                logical.raise_on_errors()
+            verify_logical(plan)
         root = self._lower(plan)
         if self.lint:
-            # The full pass (including the logical<->physical preservation
-            # check P008) runs once at the root, after lowering:
-            # error-severity findings abort the execute before any I/O is
-            # charged.
-            from repro.lint.plans import verify_lowering
-
-            report = verify_lowering(plan, root, name=plan.schema.name)
-            report.publish()
-            report.raise_on_errors()
+            verify_physical(plan, root)
         return root
 
     def _lower(self, plan: L.Operator) -> PhysicalOperator:
@@ -1534,6 +1609,34 @@ class PhysicalPlanner:
                 f"table {plan.name!r} is missing attributes "
                 f"{sorted(expected - actual)}"
             )
+
+
+def verify_logical(plan: L.Operator) -> None:
+    """Logical verification (rules P001-P007), run before lowering.
+
+    A corrupt plan must fail with the P-rule diagnostic, not with
+    whatever construction error the physical operators hit first.
+    """
+    from repro.lint.plans import verify_plan
+
+    logical = verify_plan(plan, name=plan.schema.name)
+    if logical.errors:
+        logical.publish()
+        logical.raise_on_errors()
+
+
+def verify_physical(plan: L.Operator, root: PhysicalOperator) -> None:
+    """The full pass over a lowered tree, including the
+    logical<->physical preservation check P008.
+
+    Findings are published; error-severity ones abort the execute
+    before any I/O is charged.
+    """
+    from repro.lint.plans import verify_lowering
+
+    report = verify_lowering(plan, root, name=plan.schema.name)
+    report.publish()
+    report.raise_on_errors()
 
 
 # ------------------------------------------------------------------ helpers

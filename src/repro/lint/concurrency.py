@@ -5,9 +5,10 @@ clock, so a design or refresh is a pure function of its inputs and the
 config seed.  These rules keep it that way over a package-wide module
 index (also the call graph the effect analyzer walks):
 
-* ``X103`` — cache write (``CostCache`` / ``BuildSideCache``:
-  ``store`` / ``invalidate`` / ``clear``) outside the known
-  invalidation-site modules;
+* ``X103`` — cache write (``CostCache`` / ``BuildSideCache`` /
+  ``PlanCache`` / a warehouse's ``rewrite_cache``: ``store`` /
+  ``invalidate`` / ``clear``) outside the known invalidation-site
+  modules;
 * ``X104`` — nondeterministically seeded RNG: ``random.Random()`` with
   no arguments, or an argument-less ``.seed()`` call;
 * ``X105`` — ``time.sleep`` outside obs/benchmarks (schedulers run on
@@ -43,7 +44,7 @@ from repro.lint.diagnostics import (
 )
 
 #: Cache-owner attribute names whose write methods X103 guards.
-CACHE_ATTRS = {"cost_cache", "build_cache"}
+CACHE_ATTRS = {"cost_cache", "build_cache", "plan_cache", "rewrite_cache"}
 
 #: Cache write methods (reads like ``lookup``/``get`` are always fine).
 CACHE_WRITE_METHODS = {"store", "invalidate", "clear"}

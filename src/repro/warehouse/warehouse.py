@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
+from repro.algebra.operators import Operator
 from repro.catalog.schema import Catalog
 from repro.catalog.statistics import StatisticsCatalog
 from repro.errors import WarehouseError
@@ -59,6 +60,9 @@ from repro.workload.spec import QuerySpec, Workload
 
 
 from dataclasses import dataclass, field
+
+#: serve() rewrites kept per warehouse; the oldest goes first.
+REWRITE_CACHE_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,9 @@ class DataWarehouse:
         self.cost_cache = CostCache()
         self._design: Optional[DesignResult] = None
         self._views: List[MaterializedView] = []
+        # serve()'s view rewrites, per (query root, available views) by
+        # identity; dropped whenever the installed views change.
+        self.rewrite_cache: Dict[Tuple[int, ...], tuple] = {}
         # Freshness tracking: base-relation versions bump on every load
         # or update; each view records the versions it was built from.
         self._base_versions: Dict[str, int] = {}
@@ -253,6 +260,7 @@ class DataWarehouse:
         )
         self._design = result
         self._views = [self._view_from_vertex(vertex) for vertex in result.materialized]
+        self.rewrite_cache.clear()
         if self.streaming is not None:
             # The propagation graph is compiled per installed design.
             self.streaming.recompile()
@@ -298,6 +306,7 @@ class DataWarehouse:
         view mix).  Call :meth:`materialize` afterwards to store them.
         The design result (if any) keeps providing the query plans."""
         self._views = list(views)
+        self.rewrite_cache.clear()
         self._view_versions.clear()
 
     def estimated_costs(self) -> CostBreakdown:
@@ -759,7 +768,7 @@ class DataWarehouse:
                 views = [v for v in views if self._view_is_fresh(v)]
             available = [v for v in views if self._breaker_allows(v.name)]
             degraded = len(available) < len(views)
-            rewritten, used = rewrite_with_views(plan, available)
+            rewritten, used = self._rewrite(plan, available)
             partitions_read: Mapping[str, Tuple[int, ...]] = {}
             partitions_pruned = 0
             overrides: Dict[str, Table] = {}
@@ -823,6 +832,30 @@ class DataWarehouse:
                     )
         self._note_query(name, io.total)
         return served
+
+    def _rewrite(
+        self, plan, views: List[MaterializedView]
+    ) -> Tuple[Operator, List[MaterializedView]]:
+        """``rewrite_with_views(plan, views)``, kept in ``rewrite_cache``.
+
+        A rewrite depends only on the plan and the views, so a designed
+        query root is rewritten once per set of available views and the
+        same rewritten plan object is served again, which lets the
+        engine's plan cache hit too.  The entry holds the plan and the
+        views, so the ids in its key stay theirs.  Without a design the
+        plan is optimized afresh on every call and is not cached.
+        """
+        if self._design is None:
+            return rewrite_with_views(plan, views)
+        key = (id(plan),) + tuple(map(id, views))
+        entry = self.rewrite_cache.get(key)
+        if entry is None:
+            rewritten, used = rewrite_with_views(plan, views)
+            while len(self.rewrite_cache) >= REWRITE_CACHE_ENTRIES:
+                self.rewrite_cache.pop(next(iter(self.rewrite_cache)))
+            entry = (plan, tuple(views), rewritten, tuple(used))
+            self.rewrite_cache[key] = entry
+        return entry[2], list(entry[3])
 
     def _record_drift(self, name: str, plan, measured_io: int) -> None:
         """Publish per-query estimated-vs-measured cost drift metrics."""
@@ -949,6 +982,7 @@ class DataWarehouse:
         # Atomic swap: from here on queries see the new design.
         self._design = result
         self._views = list(migration.keep) + list(migration.create)
+        self.rewrite_cache.clear()
         self._view_versions.clear()
         for view in migration.keep:
             if view.name in old_versions:

@@ -157,10 +157,11 @@ def test_mask_evaluates_only_the_given_rows(predicate, rows, data):
 
 @SETTINGS
 @given(PREDICATES, ROWS, ROWS)
-def test_pair_kernel_matches_merged_row_evaluation(predicate, lefts, rights):
-    # The right side shadows T.i and T.s; T.j and T.f come from the left.
-    left_names, right_names = NAMES, ("T.i", "T.s")
-    pair = compile_pair(predicate, left_names, right_names)
+def test_pair_kernel_matches_joined_row_evaluation(predicate, lefts, rights):
+    # T.j and T.f come from the left input, T.i and T.s from the right.
+    left_names, right_names = ("T.j", "T.f"), ("T.i", "T.s")
+    mapping = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pair = compile_pair(predicate, left_names + right_names, mapping)
     assert pair is not None
     pairs = [(left, right) for left in lefts for right in rights]
 
@@ -176,7 +177,10 @@ def test_pair_kernel_matches_merged_row_evaluation(predicate, lefts, rights):
     def rowwise():
         return [
             predicate.evaluate(
-                {**left, **{n: right[n] for n in right_names}}
+                {
+                    **{n: left[n] for n in left_names},
+                    **{n: right[n] for n in right_names},
+                }
             )
             for left, right in pairs
         ]
