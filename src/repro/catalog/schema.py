@@ -13,7 +13,7 @@ names automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.datatypes import DataType
@@ -31,15 +31,16 @@ class Attribute:
 
     ``name`` may be qualified (``"Product.name"``) for attributes of
     derived relations whose unqualified name would collide.
+    ``short_name`` is the unqualified name (text after the last dot),
+    computed once; it takes no part in equality, hashing or ``repr``.
     """
 
     name: str
     datatype: DataType
+    short_name: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def short_name(self) -> str:
-        """The unqualified attribute name (text after the last dot)."""
-        return self.name.rsplit(".", 1)[-1]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "short_name", self.name.rpartition(".")[2])
 
     def qualified(self, relation: str) -> "Attribute":
         """A copy of this attribute qualified with ``relation``."""
@@ -151,9 +152,7 @@ class RelationSchema:
         both inputs, in which case *both* copies are qualified with their
         source relation name, mirroring SQL's disambiguation rule.
         """
-        left_shorts = {a.short_name for a in self._attributes}
-        right_shorts = {a.short_name for a in other._attributes}
-        clashes = left_shorts & right_shorts
+        clashes = self._by_short.keys() & other._by_short.keys()
 
         def resolve(attribute: Attribute, owner: str) -> Attribute:
             if attribute.short_name in clashes and "." not in attribute.name:

@@ -148,7 +148,7 @@ class DistributedCostCalculator(MVPPCostCalculator):
         """
         total = 0.0
         for leaf in sorted(
-            self.mvpp.base_relations_of(vertex), key=lambda v: v.name
+            self.base_relations_of(vertex), key=lambda v: v.name
         ):
             surviving = None if pruned is None else pruned.get(leaf.name)
             total += self.leaf_transfer_cost(leaf, surviving)
@@ -208,7 +208,7 @@ class DistributedCostCalculator(MVPPCostCalculator):
         of every other lineage relation it joins against).
         """
         leaves = sorted(
-            self.mvpp.base_relations_of(vertex), key=lambda v: v.name
+            self.base_relations_of(vertex), key=lambda v: v.name
         )
         base = self._copartition_base(leaves)
         if base is None:
@@ -248,7 +248,7 @@ class DistributedCostCalculator(MVPPCostCalculator):
             return 0.0
         distributed_ca = vertex.access_cost + self.lineage_transfer_cost(vertex)
         saving = sum(
-            q.frequency for q in self.mvpp.queries_using(vertex)
+            q.frequency for q in self.queries_using(vertex)
         ) * distributed_ca
         return saving - self.refresh_trigger(vertex) * self._per_refresh_cost(
             vertex
@@ -263,11 +263,11 @@ class DistributedCostCalculator(MVPPCostCalculator):
         already_saved = sum(
             self.mvpp.vertex(i).access_cost
             + self.lineage_transfer_cost(self.mvpp.vertex(i))
-            for i in self.mvpp.descendants(vertex) & materialized
+            for i in sorted(self.descendants(vertex) & materialized)
         )
         effective = distributed_ca - already_saved
         saving = sum(
-            q.frequency for q in self.mvpp.queries_using(vertex)
+            q.frequency for q in self.queries_using(vertex)
         ) * effective
         return saving - self.refresh_trigger(vertex) * self._per_refresh_cost(
             vertex

@@ -12,7 +12,7 @@ private; the public operator API is :mod:`repro.executor.physical`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expression
 from repro.algebra.operators import AggregateFunction, AggregateSpec
@@ -71,36 +71,39 @@ def _nested_loop_join(
     out = Table(schema, blocking_factor, io=outer.io)
     outer.io.read_blocks(outer.num_blocks)
     outer.io.read_blocks(outer.num_blocks * inner.num_blocks)
-    keys = _joined_keys(schema, outer, inner)
+    join = _row_joiner(schema, outer, inner)
     inner_rows = inner.rows()
     for outer_row in outer.rows():
         for inner_row in inner_rows:
-            merged = {**outer_row, **inner_row}
-            if condition is None or _passes(condition, keys, merged):
-                out.insert(merged)
+            joined = join(outer_row, inner_row)
+            if condition is None or condition.evaluate(joined) is True:
+                out.insert(joined)
     return out
 
 
-def _joined_keys(
+def _row_joiner(
     schema: RelationSchema, outer: Table, inner: Table
-) -> List[Tuple[str, str]]:
-    """(joined attribute, merged-row key) of each attribute of ``schema``.
+) -> Callable[[Dict[str, Any], Dict[str, Any]], Dict[str, Any]]:
+    """A function building the joined row of an (outer, inner) row pair.
 
-    A merged ``{**outer, **inner}`` row stored in a table of the joined
-    ``schema`` takes each attribute from its exact name, else from its
-    short name (``Table._normalize``).
+    ``schema`` (``outer.schema.join(inner.schema)``) lists the outer
+    attributes, then the inner ones, one for one, so each joined
+    attribute takes the input value at its position: two inputs that
+    both carry an unqualified ``n`` keep their own values under ``A.n``
+    and ``B.n``.  Conditions evaluate on this row, as the stored row.
     """
-    merged = set(outer.schema.attribute_names) | set(inner.schema.attribute_names)
-    return [
-        (a.name, a.name if a.name in merged else a.short_name) for a in schema
-    ]
+    names = schema.attribute_names
+    width = outer.schema.arity
+    outer_pairs = list(zip(names[:width], outer.schema.attribute_names))
+    inner_pairs = list(zip(names[width:], inner.schema.attribute_names))
 
+    def join(outer_row: Dict[str, Any], inner_row: Dict[str, Any]) -> Dict[str, Any]:
+        row = {name: outer_row[source] for name, source in outer_pairs}
+        for name, source in inner_pairs:
+            row[name] = inner_row[source]
+        return row
 
-def _passes(
-    condition: Expression, keys: List[Tuple[str, str]], merged: Dict[str, Any]
-) -> bool:
-    """Whether ``condition`` holds on the joined row ``merged`` becomes."""
-    return condition.evaluate({name: merged[key] for name, key in keys}) is True
+    return join
 
 
 def _hash_join(
@@ -128,13 +131,13 @@ def _hash_join(
         key = tuple(row[k] for k in inner_keys)
         if None not in key:
             buckets.setdefault(key, []).append(row)
-    keys = _joined_keys(schema, outer, inner)
+    join = _row_joiner(schema, outer, inner)
     for row in outer.scan(count_io=True):
         key = tuple(row[k] for k in outer_keys)
         for match in buckets.get(key, ()):
-            merged = {**row, **match}
-            if residual is None or _passes(residual, keys, merged):
-                out.insert(merged)
+            joined = join(row, match)
+            if residual is None or residual.evaluate(joined) is True:
+                out.insert(joined)
     return out
 
 
@@ -172,6 +175,7 @@ def _index_join(
     schema = outer.schema.join(inner.schema)
     blocking_factor = _joined_blocking_factor(outer, inner)
     joined = Table(schema, blocking_factor, io=outer.io)
+    join = _row_joiner(schema, outer, inner)
     for row in outer.scan(count_io=True):
         key = row[outer_key]
         if key is None:
@@ -182,7 +186,7 @@ def _index_join(
         )
         rows = stored if type(inner) is Table else inner.rows()
         for position in positions:
-            joined.insert({**row, **rows[position]})
+            joined.insert(join(row, rows[position]))
     if leftover is None:
         return joined
     out = Table(schema, blocking_factor, io=outer.io)
@@ -232,7 +236,7 @@ def _sort_merge_join(
 
     schema = outer.schema.join(inner.schema)
     out = Table(schema, _joined_blocking_factor(outer, inner), io=outer.io)
-    keys = _joined_keys(schema, outer, inner)
+    join = _row_joiner(schema, outer, inner)
     i = j = 0
     while i < len(left_rows) and j < len(right_rows):
         left_key = tuple(left_rows[i][k] for k in outer_keys)
@@ -255,9 +259,9 @@ def _sort_merge_join(
                 and tuple(left_rows[i][k] for k in outer_keys) == left_key
             ):
                 for index in range(run_start, run_end):
-                    merged = {**left_rows[i], **right_rows[index]}
-                    if residual is None or _passes(residual, keys, merged):
-                        out.insert(merged)
+                    joined = join(left_rows[i], right_rows[index])
+                    if residual is None or residual.evaluate(joined) is True:
+                        out.insert(joined)
                 i += 1
     return out
 

@@ -465,29 +465,18 @@ class Projection(PhysicalOperator):
 
 
 # -------------------------------------------------------------------- joins
-def _merged_mapping(out_schema, left_names, right_names):
-    """(side, index) source of each output attribute.
+def _joined_mapping(left_width: int, right_width: int) -> List[Tuple[int, int]]:
+    """(side, index) source of each attribute of a joined schema.
 
-    Replicates inserting the merged row dict ``{**outer, **inner}``
-    into a table with the joined schema: exact name first, then short
-    name, with inner-side keys shadowing outer-side duplicates.
+    :meth:`~repro.catalog.schema.RelationSchema.join` lists the left
+    input's attributes, then the right input's, one for one, so the
+    output column ``k`` is taken by position, never by name: two inputs
+    that both carry an unqualified ``n`` keep their own values under
+    ``A.n`` and ``B.n``.
     """
-    merged: Dict[str, Tuple[int, int]] = {}
-    for index, key in enumerate(left_names):
-        merged[key] = (0, index)
-    for index, key in enumerate(right_names):
-        merged[key] = (1, index)
-    mapping = []
-    for attribute in out_schema:
-        source = merged.get(attribute.name)
-        if source is None:
-            source = merged.get(attribute.short_name)
-        if source is None:
-            raise StorageError(
-                f"row missing attribute {attribute.name!r}: {sorted(merged)}"
-            )
-        mapping.append(source)
-    return mapping
+    return [(0, index) for index in range(left_width)] + [
+        (1, index) for index in range(right_width)
+    ]
 
 
 def _taker(positions: List[int], length: int):
@@ -609,7 +598,7 @@ class _JoinBase(PhysicalOperator):
         super().__init__(schema, blocking_factor, (left, right))
         self._lnames = left.schema.attribute_names
         self._rnames = right.schema.attribute_names
-        self._mapping = _merged_mapping(schema, self._lnames, self._rnames)
+        self._mapping = _joined_mapping(len(self._lnames), len(self._rnames))
 
     @property
     def left(self) -> PhysicalOperator:

@@ -150,10 +150,98 @@ class MVPPCostCalculator:
         self.mvpp = mvpp
         self.maintenance_trigger = maintenance_trigger
         self.cache = cache
-        # Per-vertex {v} ∪ descendants(v) id sets, built lazily: the
-        # shared-cache key needs the materialized ids *within* v's
-        # subtree, mapped to their canonical signatures.
+        # Reachability tables by vertex id, built in one pass and read by
+        # every Figure-9 quantity: S*{v}, {v} ∪ S*{v} (the shared-cache
+        # key's subtree), and Ov / Iv in vertex-id order.  They describe
+        # the graph as it stands now; frequencies and costs are read live.
+        self._descendants: Dict[int, FrozenSet[int]] = {}
         self._closures: Dict[int, FrozenSet[int]] = {}
+        self._query_roots: Dict[int, Tuple[Vertex, ...]] = {}
+        self._base_relations: Dict[int, Tuple[Vertex, ...]] = {}
+        self._index_reachability()
+
+    def _index_reachability(self) -> None:
+        """Fill the reachability tables from one topological order.
+
+        Children come before parents, so ``S*{v}`` and ``Iv`` are unions
+        over the children already indexed; ``Ov`` is the union over the
+        parents, walking the same order backwards.  A vertex with one
+        child (or one parent) shares that neighbour's entries, and equal
+        id sets share one tuple.
+        """
+        order = self.mvpp.topological_order()
+        vertex_of = self.mvpp.vertex
+        tuples: Dict[FrozenSet[int], Tuple[Vertex, ...]] = {}
+
+        def in_id_order(ids: FrozenSet[int]) -> Tuple[Vertex, ...]:
+            found = tuples.get(ids)
+            if found is None:
+                found = tuples[ids] = tuple(map(vertex_of, sorted(ids)))
+            return found
+
+        closures, bases = self._closures, self._base_relations
+        base_ids: Dict[int, FrozenSet[int]] = {}
+        for vertex in order:
+            vertex_id = vertex.vertex_id
+            children = vertex.children
+            if len(children) == 1:
+                (child,) = children
+                below = closures[child]
+                base_ids[vertex_id] = base_ids[child]
+                bases[vertex_id] = bases[child]
+            else:
+                below = frozenset().union(*[closures[c] for c in children])
+                if vertex.is_leaf:
+                    ids = frozenset((vertex_id,))
+                else:
+                    ids = frozenset().union(*[base_ids[c] for c in children])
+                base_ids[vertex_id] = ids
+                bases[vertex_id] = in_id_order(ids)
+            self._descendants[vertex_id] = below
+            closures[vertex_id] = below | {vertex_id}
+
+        roots = self._query_roots
+        root_ids: Dict[int, FrozenSet[int]] = {}
+        for vertex in reversed(order):
+            vertex_id = vertex.vertex_id
+            parents = vertex.parents
+            if len(parents) == 1:
+                (parent,) = parents
+                root_ids[vertex_id] = root_ids[parent]
+                roots[vertex_id] = roots[parent]
+                continue
+            if vertex.is_root:
+                ids = frozenset((vertex_id,))
+            else:
+                ids = frozenset().union(*[root_ids[p] for p in parents])
+            root_ids[vertex_id] = ids
+            roots[vertex_id] = in_id_order(ids)
+
+    # ---------------------------------------------------------- reachability
+    # Each lookup falls back to the MVPP's own traversal for a vertex the
+    # tables do not hold (one that is not part of this graph).
+    def descendants(self, vertex: Vertex) -> FrozenSet[int]:
+        """``S*{v}``: the ids of every vertex below ``v``."""
+        try:
+            return self._descendants[vertex.vertex_id]
+        except KeyError:
+            return frozenset(self.mvpp.descendants(vertex))
+
+    def queries_using(self, vertex: Vertex) -> Tuple[Vertex, ...]:
+        """``Ov``: the query roots above ``v`` (``v`` itself for a root),
+        in vertex-id order."""
+        try:
+            return self._query_roots[vertex.vertex_id]
+        except KeyError:
+            return tuple(self.mvpp.queries_using(vertex))
+
+    def base_relations_of(self, vertex: Vertex) -> Tuple[Vertex, ...]:
+        """``Iv``: the base relations below ``v`` (``v`` itself for a
+        leaf), in vertex-id order."""
+        try:
+            return self._base_relations[vertex.vertex_id]
+        except KeyError:
+            return tuple(self.mvpp.base_relations_of(vertex))
 
     # ------------------------------------------------------------------ cost
     def access_cost(self, vertex: Vertex, materialized: FrozenSet[int]) -> float:
@@ -238,12 +326,11 @@ class MVPPCostCalculator:
         return total
 
     def _closure(self, vertex: Vertex) -> FrozenSet[int]:
-        """``{v} ∪ S*{v}`` as ids, memoized per calculator."""
-        ids = self._closures.get(vertex.vertex_id)
-        if ids is None:
-            ids = frozenset(self.mvpp.descendants(vertex)) | {vertex.vertex_id}
-            self._closures[vertex.vertex_id] = ids
-        return ids
+        """``{v} ∪ S*{v}`` as ids."""
+        try:
+            return self._closures[vertex.vertex_id]
+        except KeyError:
+            return self.descendants(vertex) | {vertex.vertex_id}
 
     def _cache_key(
         self, vertex: Vertex, materialized: FrozenSet[int]
@@ -285,7 +372,7 @@ class MVPPCostCalculator:
 
     def refresh_trigger(self, vertex: Vertex) -> float:
         """How many refreshes per period ``vertex`` incurs if materialized."""
-        bases = self.mvpp.base_relations_of(vertex)
+        bases = self.base_relations_of(vertex)
         if not bases:
             return 0.0
         if self.maintenance_trigger == PER_BASE:
@@ -333,7 +420,7 @@ class MVPPCostCalculator:
             vertex = self.mvpp.vertex(vertex_id)
             if vertex.is_leaf:
                 continue
-            bases = self.mvpp.base_relations_of(vertex)
+            bases = self.base_relations_of(vertex)
             if not bases:
                 continue
             frequencies = [
@@ -356,7 +443,7 @@ class MVPPCostCalculator:
         if vertex.is_leaf:
             return 0.0
         saving = sum(
-            q.frequency for q in self.mvpp.queries_using(vertex)
+            q.frequency for q in self.queries_using(vertex)
         ) * vertex.access_cost
         return saving - self.refresh_trigger(vertex) * vertex.maintenance_cost
 
@@ -372,14 +459,13 @@ class MVPPCostCalculator:
         """
         if vertex.is_leaf:
             return 0.0
-        descendant_ids = self.mvpp.descendants(vertex)
         already_saved = sum(
             self.mvpp.vertex(i).access_cost
-            for i in sorted(descendant_ids & materialized)
+            for i in sorted(self.descendants(vertex) & materialized)
         )
         effective = vertex.access_cost - already_saved
         saving = sum(
-            q.frequency for q in self.mvpp.queries_using(vertex)
+            q.frequency for q in self.queries_using(vertex)
         ) * effective
         return saving - self.refresh_trigger(vertex) * vertex.maintenance_cost
 
@@ -399,9 +485,7 @@ class MVPPCostCalculator:
         Roots are visited in vertex-id order for bit-identical sums.
         """
         delta = 0.0
-        for root in sorted(
-            self.mvpp.queries_using(vertex), key=lambda v: v.vertex_id
-        ):
+        for root in self.queries_using(vertex):
             delta += root.frequency * (
                 self.access_cost(root, without_ids)
                 - self.access_cost(root, with_ids)

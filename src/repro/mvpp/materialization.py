@@ -135,11 +135,21 @@ def select_views(
                 continue
             # Step 7: prune the rest of this branch — vertices related to v
             # by ancestry can only do worse once v itself is not worth it.
-            branch = mvpp.ancestors(vertex) | mvpp.descendants(vertex)
-            pruned = [u.name for _, u in queue if u.vertex_id in branch]
-            queue = deque(
-                (w, u) for w, u in queue if u.vertex_id not in branch
-            )
+            # u is an ancestor of v exactly when v is a descendant of u.
+            below = calculator.descendants(vertex)
+            descendants = calculator.descendants
+            pruned = []
+            kept: Deque[Tuple[float, Vertex]] = deque()
+            for item in queue:
+                other = item[1]
+                if (
+                    other.vertex_id in below
+                    or vertex.vertex_id in descendants(other)
+                ):
+                    pruned.append(other.name)
+                else:
+                    kept.append(item)
+            queue = kept
             record(
                 SelectionStep(vertex.name, weight, saving, "reject", tuple(pruned))
             )

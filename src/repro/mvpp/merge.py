@@ -41,19 +41,34 @@ def skeleton_join_conjuncts(skeleton: Operator) -> List[Expression]:
     return out
 
 
+class _PooledJoin:
+    """A pooled join node with the facts reuse checks read, taken once."""
+
+    __slots__ = ("node", "leaves", "conjuncts", "columns")
+
+    def __init__(self, node: Join):
+        self.node = node
+        self.leaves = node.base_relations()
+        self.conjuncts = frozenset(
+            p.signature for p in skeleton_join_conjuncts(node)
+        )
+        self.columns = frozenset(node.schema.attribute_names)
+
+
 class SkeletonPool:
     """The join nodes currently present in an MVPP under construction."""
 
     def __init__(self) -> None:
-        self._nodes: List[Operator] = []  # creation order
+        self._joins: List[_PooledJoin] = []  # creation order
         self._signatures: Set[str] = set()
 
     def add_tree(self, skeleton: Operator) -> None:
-        """Register every subtree of ``skeleton`` as available for reuse."""
+        """Register every join of ``skeleton`` as available for reuse."""
         for node in skeleton.walk():
             if node.signature not in self._signatures:
                 self._signatures.add(node.signature)
-                self._nodes.append(node)
+                if isinstance(node, Join):
+                    self._joins.append(_PooledJoin(node))
 
     def reusable_pieces(
         self, leaf_names: AbstractSet[str], predicates: Sequence[Expression]
@@ -65,45 +80,42 @@ class SkeletonPool:
         are preferred; earlier-created nodes break ties (the paper keeps
         the join pattern of the more expensive, earlier-merged plans).
         """
-        predicate_signatures = {p.signature for p in predicates}
+        query_columns = {p.signature: p.columns() for p in predicates}
         candidates = []
-        for position, node in enumerate(self._nodes):
-            if not isinstance(node, Join):
+        for position, pooled in enumerate(self._joins):
+            if not pooled.leaves <= leaf_names:
                 continue
-            node_leaves = node.base_relations()
-            if not node_leaves <= leaf_names:
+            if not self._conditions_match(pooled, query_columns):
                 continue
-            if not self._conditions_match(node, predicates, predicate_signatures):
-                continue
-            candidates.append((len(node_leaves), -position, node, node_leaves))
+            candidates.append((len(pooled.leaves), -position, pooled))
         candidates.sort(key=lambda item: (-item[0], -item[1]))
 
         chosen: List[Operator] = []
         covered: Set[str] = set()
-        for _, _, node, node_leaves in candidates:
-            if node_leaves & covered:
+        for _, _, pooled in candidates:
+            if pooled.leaves & covered:
                 continue
-            chosen.append(node)
-            covered |= node_leaves
+            chosen.append(pooled.node)
+            covered |= pooled.leaves
         return chosen
 
     @staticmethod
     def _conditions_match(
-        node: Operator,
-        query_predicates: Sequence[Expression],
-        query_signatures: Set[str],
+        pooled: _PooledJoin, query_columns: Dict[str, AbstractSet[str]]
     ) -> bool:
-        """Node reusable iff its predicates == query's predicates over its leaves."""
-        node_signatures = {p.signature for p in skeleton_join_conjuncts(node)}
-        if not node_signatures <= query_signatures:
+        """Node reusable iff its predicates == query's predicates over its leaves.
+
+        ``query_columns`` maps each query predicate's signature to the
+        columns it reads.
+        """
+        if not pooled.conjuncts.issubset(query_columns):
             return False
-        node_columns = set(node.schema.attribute_names)
         within = {
-            p.signature
-            for p in query_predicates
-            if p.columns() <= node_columns
+            signature
+            for signature, columns in query_columns.items()
+            if columns <= pooled.columns
         }
-        return within == node_signatures
+        return within == pooled.conjuncts
 
 
 def merge_skeletons(ordered: Sequence["QueryPlanInfo"]) -> Dict[str, Operator]:

@@ -146,8 +146,9 @@ class DataWarehouse:
         self.cost_cache = CostCache()
         self._design: Optional[DesignResult] = None
         self._views: List[MaterializedView] = []
-        # serve()'s view rewrites, per (query root, available views) by
-        # identity; dropped whenever the installed views change.
+        # View rewrites of serve(), query_plan() and explain(), per (query
+        # root, available views) by identity; dropped whenever the
+        # installed views change.
         self.rewrite_cache: Dict[Tuple[int, ...], tuple] = {}
         # Freshness tracking: base-relation versions bump on every load
         # or update; each view records the versions it was built from.
@@ -659,7 +660,7 @@ class DataWarehouse:
         # Graceful degradation: a view whose circuit breaker is open is
         # treated as unavailable — the rewrite falls back to base data.
         views = [v for v in views if self._breaker_allows(v.name)]
-        rewritten, _ = rewrite_with_views(plan, views)
+        rewritten, _ = self._rewrite(plan, views)
         return rewritten
 
     def execute(
@@ -1015,7 +1016,6 @@ class DataWarehouse:
         per-node cardinalities and block-access costs, plus which
         materialized views the rewrite uses."""
         from repro.optimizer.plans import AnnotatedPlan
-        from repro.warehouse.rewriter import rewrite_with_views
 
         spec = next((q for q in self._queries if q.name == name), None)
         if spec is None:
@@ -1024,7 +1024,7 @@ class DataWarehouse:
         used: List[MaterializedView] = []
         if use_views and self._views:
             base_plan = self.query_plan(name, use_views=False)
-            _, used = rewrite_with_views(base_plan, self._views)
+            _, used = self._rewrite(base_plan, list(self._views))
         lines = [f"EXPLAIN {name}: {spec.sql}"]
         if used:
             lines.append(

@@ -39,6 +39,17 @@ class TestAttribute:
         attribute = Attribute("Product.name", DataType.STRING).qualified("X")
         assert attribute.name == "X.name"
 
+    def test_short_name_is_left_out_of_equality_hash_and_repr(self):
+        attribute = Attribute("Product.name", DataType.STRING)
+        other = Attribute("Product.name", DataType.STRING)
+        object.__setattr__(other, "short_name", "changed")
+        assert attribute == other
+        assert hash(attribute) == hash(other)
+        assert hash(attribute) == hash(("Product.name", DataType.STRING))
+        assert repr(attribute) == repr(other) == (
+            f"Attribute(name='Product.name', datatype={DataType.STRING!r})"
+        )
+
 
 class TestRelationSchema:
     def test_rejects_empty_name(self):

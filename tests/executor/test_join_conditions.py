@@ -4,7 +4,9 @@ A join qualifies an unqualified input column whose short name the other
 side shares: joining ``Aggregate(A, [A.g], COUNT(*) AS n)`` with
 ``B(B.g, B.n)`` stores the count as ``A.n``.  A condition naming
 ``A.n`` must find it under every join method and on both engines, as
-the index-nested-loop join's leftover filter always did.
+the index-nested-loop join's leftover filter always did.  When both
+inputs carry the unqualified ``n``, each joined column takes its own
+side's value.
 """
 
 from collections import Counter
@@ -73,6 +75,25 @@ def test_a_residual_on_a_qualified_alias(method, engine):
     assert rows == [
         (("A.g", 1), ("A.n", 1), ("B.g", 1), ("B.n", 7)),
         (("A.g", 2), ("A.n", 1), ("B.g", 2), ("B.n", 8)),
+    ]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("method", JOIN_METHODS)
+def test_both_inputs_keep_their_own_unqualified_column(method, engine):
+    # Both inputs carry an unqualified ``n``: the join qualifies them as
+    # ``A.n`` and ``B.n``, and each must keep its own side's count.
+    b_counted = Aggregate(
+        Relation("B", B), ["B.g"], [AggregateSpec(AggregateFunction.COUNT, None, "n")]
+    )
+    join_plan = Join(COUNTED, b_counted, compare("A.g", "=", column("B.g")))
+    assert join_plan.schema.attribute_names == ("A.g", "A.n", "B.g", "B.n")
+    a_rows = [{"A.g": 1}, {"A.g": 1}, {"A.g": 1}, {"A.g": 2}]
+    b_rows = [{"B.g": 1, "B.n": 0}, {"B.g": 2, "B.n": 0}, {"B.g": 2, "B.n": 0}]
+    rows = run(load(a_rows, b_rows), join_plan, method, engine)
+    assert sorted(rows) == [
+        (("A.g", 1), ("A.n", 3), ("B.g", 1), ("B.n", 1)),
+        (("A.g", 2), ("A.n", 1), ("B.g", 2), ("B.n", 2)),
     ]
 
 

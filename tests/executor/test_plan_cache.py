@@ -460,6 +460,26 @@ def test_serve_reuses_its_rewrite():
     assert list(warehouse.rewrite_cache.values()) == [entry]
 
 
+def test_execute_reuses_the_rewrite_and_the_lowering(recording):
+    warehouse = paper_warehouse()
+    names = [spec.name for spec in warehouse.workload.queries]
+    # A query answered by scanning one stored view runs a bare Relation,
+    # which is never lowered or cached.
+    lowered = [
+        name for name in names
+        if not isinstance(warehouse.query_plan(name), Relation)
+    ]
+    assert lowered
+    before = recording()
+    for name in names:
+        for _ in range(3):
+            warehouse.execute(name)
+    counted = {
+        key: value - before.get(key, 0.0) for key, value in recording().items()
+    }
+    assert counted == outcomes(lowered=len(lowered), hit=2 * len(lowered))
+
+
 def test_design_drops_the_rewrite_cache():
     warehouse = paper_warehouse()
     served(warehouse, "Q1")
